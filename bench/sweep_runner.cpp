@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "common/check.h"
+#include "common/cores.h"
 
 namespace spb::bench {
 
@@ -50,9 +51,6 @@ void SweepRunner::run(std::size_t count,
   if (first_error) std::rethrow_exception(first_error);
 }
 
-int SweepRunner::hardware_jobs() {
-  const unsigned n = std::thread::hardware_concurrency();
-  return n == 0 ? 1 : static_cast<int>(n);
-}
+int SweepRunner::hardware_jobs() { return usable_cores(); }
 
 }  // namespace spb::bench

@@ -32,7 +32,7 @@ class SweepRunner {
   void run(std::size_t count,
            const std::function<void(std::size_t)>& task) const;
 
-  /// std::thread::hardware_concurrency with a floor of 1.
+  /// The usable core count (common/cores.h): the default --jobs.
   static int hardware_jobs();
 
  private:

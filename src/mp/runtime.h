@@ -79,24 +79,14 @@ struct ParallelStats {
   /// Region/shard count the event space was partitioned into; 0 means the
   /// run used the classic serial loop (default, or fallback).
   int shards = 0;
-  /// Self-lookahead: the conservative window floor (Runtime::lookahead_us
-  /// at run time).
+  /// Conservative window width (Runtime::lookahead_us at run time).
   double window_us = 0;
-  /// Narrowest / widest region-to-region sub-window delay from the
-  /// topology's hop distances (both equal window_us when the machine gives
-  /// no cross-region slack).
-  double lookahead_min_us = 0;
-  double lookahead_max_us = 0;
   /// Windows executed.
   std::uint64_t windows = 0;
   /// Shard-window slots that executed nothing (stall measure).
   std::uint64_t idle_shard_windows = 0;
   /// Cross-shard transfers staged through window barriers over the run.
   std::uint64_t staged_xfers = 0;
-  /// Barrier occurrences of a staged transfer held past the safe horizon
-  /// (sub-window hold-back pressure; each transfer counts once per barrier
-  /// that holds it).
-  std::uint64_t held_xfers = 0;
   struct Shard {
     std::uint64_t events = 0;
     std::uint64_t peak_queue_depth = 0;
@@ -297,12 +287,11 @@ class Runtime {
 
   /// Requests the sharded conservative-window engine (sim/sharded.h) with
   /// up to `threads` drain workers for run(); `threads == -1` sizes the
-  /// pool automatically from the host's core count (clamped to the shard
-  /// count — per-window engagement then follows the engine's live
-  /// occupancy stats, so idle shards never cost wakeups).  Outcomes are
-  /// byte-identical for every accepted value — the shard partition, the
-  /// per-region sub-window plan, and the barrier's canonical reserve order
-  /// depend only on machine and parameters, never on the worker count.
+  /// pool from the usable cores (common/cores.h; clamped to the shard
+  /// count).  Outcomes are byte-identical for every accepted value — the
+  /// shard partition, the window plan and the barrier's canonical reserve
+  /// order depend only on machine and parameters, never on the worker
+  /// count.
   /// run() silently falls back to the classic serial loop when an
   /// order-sensitive observer is on (tracing, schedule recording), when
   /// the lookahead collapses to zero (e.g. zero-overhead test fixtures),
@@ -454,10 +443,8 @@ class Runtime {
   std::unique_ptr<sim::ShardedEngine> engine_;
   std::vector<int> shard_of_rank_;
   std::vector<std::vector<StagedXfer>> staged_;  // indexed by shard
-  /// Consumed prefix of each staging vector: entries initiated at or past
-  /// the engine's safe horizon stay parked across barriers (sub-window
-  /// hold-back) until the horizon passes them.
-  std::vector<std::size_t> staged_cursor_;
+  /// Transfers the barrier has executed (ParallelStats::staged_xfers).
+  std::uint64_t staged_xfers_ = 0;
   /// Per-shard in-flight free lists: a delivery event frees its slot into
   /// the executing shard's list (no shared mutation inside a window); the
   /// barrier's stash scans them in shard order (deterministic reuse).

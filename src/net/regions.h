@@ -11,13 +11,10 @@
 #pragma once
 
 #include <algorithm>
-#include <vector>
 
 #include "common/types.h"
 
 namespace spb::net {
-
-class Topology;
 
 /// Number of regions the sharded engine partitions `node_count` nodes
 /// into: one region per 32 nodes, clamped to [2, 16].  Small machines
@@ -35,48 +32,5 @@ inline int region_of_node(NodeId n, int node_count, int regions) {
   return static_cast<int>((static_cast<long long>(n) * regions) /
                           node_count);
 }
-
-/// Pairwise minimum hop distances between the regions of a topology under
-/// the balanced contiguous partition above.  `min_hops(r, s)` is a lower
-/// bound on `Topology::hops(a, b)` over every node pair with a in region r
-/// and b in region s — the quantity the sharded engine's per-region
-/// sub-windows are built from (a message from r to s is at least
-/// `alpha + min_hops(r, s) * per_hop` away from its initiation, so shard s
-/// may drain that far past shard r's clock without missing a delivery).
-///
-/// Exact for topologies up to kExactNodeCap nodes (an O(n^2) scan over
-/// node pairs, memoized process-wide per topology identity); above the
-/// cap it degrades to the always-sound floor of 1 hop between distinct
-/// regions.  Both variants depend only on the topology and the region
-/// count, never on the worker-thread count, so schedules built from them
-/// keep the byte-identical-results contract.
-class RegionMap {
- public:
-  /// Largest node count for which the exact pairwise scan runs.
-  static constexpr int kExactNodeCap = 2048;
-
-  int regions() const { return regions_; }
-
-  /// Minimum hop distance from region r to region s; 0 when r == s.
-  int min_hops(int r, int s) const {
-    return hops_[static_cast<std::size_t>(r) *
-                     static_cast<std::size_t>(regions_) +
-                 static_cast<std::size_t>(s)];
-  }
-
-  /// The map for `topo` split into `regions` regions, built on first use
-  /// and memoized for the process (keyed by the topology's name, node
-  /// count, and link space — the identity every Topology subclass encodes
-  /// in those three).  The returned reference stays valid for the process
-  /// lifetime.
-  static const RegionMap& of(const Topology& topo, int regions);
-
-  /// Uncached exact/fallback construction; exposed for tests.
-  static RegionMap build(const Topology& topo, int regions);
-
- private:
-  int regions_ = 0;
-  std::vector<int> hops_;
-};
 
 }  // namespace spb::net

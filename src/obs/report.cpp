@@ -147,12 +147,9 @@ void write_parallel(JsonWriter& w, const mp::ParallelStats& ps) {
   w.begin_object();
   w.field("shards", static_cast<std::int64_t>(ps.shards));
   w.field("window_us", ps.window_us, 3);
-  w.field("lookahead_min_us", ps.lookahead_min_us, 3);
-  w.field("lookahead_max_us", ps.lookahead_max_us, 3);
   w.field("windows", ps.windows);
   w.field("idle_shard_windows", ps.idle_shard_windows);
   w.field("staged_xfers", ps.staged_xfers);
-  w.field("held_xfers", ps.held_xfers);
   const std::uint64_t slots =
       ps.windows * static_cast<std::uint64_t>(ps.shards);
   w.field("window_efficiency",

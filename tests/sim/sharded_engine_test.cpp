@@ -1,10 +1,8 @@
 // ShardedEngine: windowed drains, barrier staging, lookahead contract,
-// determinism across worker-thread counts, and error propagation; since
-// PR 10 also the per-region sub-windows (set_cross_delays / note_stage /
-// safe_horizon) and the direct per-shard busy/idle accounting.
+// determinism across worker-thread counts, error propagation, and the
+// direct per-shard busy/idle accounting.
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <string>
 #include <vector>
 
@@ -153,128 +151,6 @@ TEST(ShardedEngine, ThreadsClampToShardCount) {
   EXPECT_EQ(eng.threads(), 4);
 }
 
-TEST(ShardedEngine, CrossDelaysLetIndependentShardsRunAhead) {
-  // Two shards that never talk.  With a wide cross-delay matrix each
-  // drains its whole queue in a single window; with PR 7's uniform
-  // window_us delays the same program needs many windows.
-  const auto windows_of = [](bool wide) {
-    ShardedEngine eng(2, 5.0, 1);
-    if (wide) eng.set_cross_delays({5.0, 500.0, 500.0, 5.0});
-    for (int k = 0; k < 10; ++k) {
-      eng.at(10.0 * k, 0, []() {});
-      eng.at(10.0 * k + 1.0, 1, []() {});
-    }
-    eng.run({});
-    EXPECT_EQ(eng.events_executed(), 20u);
-    return eng.stats().windows;
-  };
-  EXPECT_EQ(windows_of(true), 1u);
-  EXPECT_GT(windows_of(false), 1u);
-}
-
-TEST(ShardedEngine, SetCrossDelaysValidatesShapeAndFloor) {
-  ShardedEngine eng(2, 5.0, 1);
-  // Wrong size.
-  EXPECT_THROW(eng.set_cross_delays({5.0}), CheckError);
-  // Off-diagonal entry below the self lookahead.
-  EXPECT_THROW(eng.set_cross_delays({5.0, 4.999, 5.0, 5.0}), CheckError);
-  // Diagonal entries are ignored (forced to window_us), so zeros are fine.
-  eng.set_cross_delays({0.0, 10.0, 10.0, 0.0});
-  EXPECT_DOUBLE_EQ(eng.min_cross_delay_us(), 10.0);
-  EXPECT_DOUBLE_EQ(eng.max_cross_delay_us(), 10.0);
-  eng.run({});
-  EXPECT_THROW(eng.set_cross_delays({0.0, 10.0, 10.0, 0.0}), CheckError);
-}
-
-TEST(ShardedEngine, DelayMatrixIsClosedUnderChaining) {
-  // Direct 0 -> 2 claims 100 us, but effects can chain through shard 1 in
-  // 10 + 10: the planner must use the min-plus closure, not the raw entry.
-  ShardedEngine eng(3, 1.0, 1);
-  eng.set_cross_delays({1.0, 10.0, 100.0,    //
-                        10.0, 1.0, 10.0,     //
-                        100.0, 10.0, 1.0});
-  EXPECT_DOUBLE_EQ(eng.min_cross_delay_us(), 10.0);
-  EXPECT_DOUBLE_EQ(eng.max_cross_delay_us(), 20.0);
-}
-
-TEST(ShardedEngine, NoteStageCapsTheStagingShardsWindow) {
-  // The wide delays would let shard 0 drain all three events at once, but
-  // staging a transfer at t=0 caps its window at initiate + window_us, so
-  // the t=6 event must wait for the window after the barrier.
-  ShardedEngine eng(2, 5.0, 1);
-  eng.set_cross_delays({5.0, 100.0, 100.0, 5.0});
-  std::vector<std::string> log;
-  eng.at(0.0, 0, [&eng, &log]() {
-    eng.note_stage(0.0);
-    log.push_back("stage@0");
-  });
-  eng.at(3.0, 0, [&log]() { log.push_back("e@3"); });
-  eng.at(6.0, 0, [&log]() { log.push_back("e@6"); });
-  eng.run([&log]() { log.push_back("barrier"); });
-  EXPECT_EQ(log, (std::vector<std::string>{"stage@0", "e@3", "barrier",
-                                           "e@6", "barrier"}));
-  const EngineStats st = eng.stats();
-  EXPECT_EQ(st.windows, 2u);
-  EXPECT_EQ(st.staged_xfers, 1u);
-  EXPECT_EQ(st.held_xfers, 0u);  // initiate 0 < first safe horizon
-}
-
-TEST(ShardedEngine, SafeHorizonHoldsLateStagesForALaterBarrier) {
-  // Shard 0 stages at t=18 in a window where shard 1 only reached t=6:
-  // the first barrier's safe horizon is 6, so the t=18 transfer must be
-  // held and applied by the *second* barrier.  The test barrier mimics
-  // the runtime's hold-back rule: apply initiate < safe_horizon(), keep
-  // the rest.
-  struct Xfer {
-    double initiate;
-    int from;
-    int to;
-  };
-  ShardedEngine eng(2, 5.0, 1);
-  eng.set_cross_delays({5.0, 20.0, 20.0, 5.0});
-  std::vector<Xfer> staged;
-  std::vector<std::string> log;
-  const auto stage = [&eng, &staged](double initiate, int from, int to) {
-    eng.note_stage(initiate);
-    staged.push_back({initiate, from, to});
-  };
-  eng.at(0.0, 0, [&log]() { log.push_back("s0@0"); });
-  eng.at(18.0, 0, [&log, &stage]() {
-    log.push_back("s0@18");
-    stage(18.0, 0, 1);
-  });
-  eng.at(1.0, 1, [&log, &stage]() {
-    log.push_back("s1@1");
-    stage(1.0, 1, 0);
-  });
-  eng.run([&]() {
-    // Canonical order: by initiation time (no ties here).
-    std::sort(staged.begin(), staged.end(),
-              [](const Xfer& a, const Xfer& b) {
-                return a.initiate < b.initiate;
-              });
-    std::vector<Xfer> keep;
-    for (const Xfer& x : staged) {
-      if (x.initiate >= eng.safe_horizon()) {
-        keep.push_back(x);
-        continue;
-      }
-      const double land = x.initiate + 20.0;
-      EXPECT_GE(land, eng.frontier(x.to));
-      eng.at(land, x.to, [&log, land]() {
-        log.push_back("land@" + std::to_string(static_cast<int>(land)));
-      });
-    }
-    staged = keep;
-  });
-  EXPECT_EQ(log, (std::vector<std::string>{"s0@0", "s0@18", "s1@1",
-                                           "land@21", "land@38"}));
-  const EngineStats st = eng.stats();
-  EXPECT_EQ(st.staged_xfers, 2u);
-  EXPECT_EQ(st.held_xfers, 1u);  // the t=18 stage sat out one barrier
-  EXPECT_EQ(st.windows, 3u);
-}
-
 TEST(ShardedEngine, PerShardIdleCountsTileEveryWindow) {
   // Shard 0 is busy in both windows, shard 1 only in the first; the
   // reported idle count is the direct per-shard sum (the PR 10 fix — the
@@ -296,29 +172,48 @@ TEST(ShardedEngine, PerShardIdleCountsTileEveryWindow) {
     EXPECT_EQ(s.busy_windows + s.idle_windows, st.windows);
 }
 
-TEST(ShardedEngine, SubWindowResultsIdenticalAcrossThreadCounts) {
-  // The thread-count determinism contract again, now with asymmetric
-  // cross delays and staging traffic in the mix.
+TEST(ShardedEngine, BarrierTrafficIdenticalAcrossThreadCounts) {
+  // The thread-count determinism contract with cross-shard traffic in the
+  // mix: periodic events stage a transfer into their own shard's list (the
+  // runtime's pattern — no shared writes inside a window), and the barrier
+  // lands each one a full window later on the next shard.
+  struct Xfer {
+    double initiate;
+    int to;
+  };
   const auto trace_of = [](int threads) {
-    ShardedEngine eng(3, 4.0, threads);
-    eng.set_cross_delays({4.0, 9.0, 30.0,   //
-                          9.0, 4.0, 12.0,   //
-                          30.0, 12.0, 4.0});
-    std::vector<std::vector<double>> per_shard(3);
-    for (int s = 0; s < 3; ++s) {
+    constexpr int kShards = 3;
+    constexpr double kWindow = 4.0;
+    ShardedEngine eng(kShards, kWindow, threads);
+    std::vector<std::vector<double>> per_shard(kShards);
+    std::vector<std::vector<Xfer>> staged(kShards);
+    for (int s = 0; s < kShards; ++s) {
       for (int k = 0; k < 40; ++k) {
         const double t = 1.5 * k + 0.5 * s;
-        const bool stages = k % 7 == 0;  // periodic cross-shard traffic
-        eng.at(t, s, [&eng, &per_shard, s, t, stages]() {
+        const bool stages = k % 7 == 0;
+        eng.at(t, s, [&per_shard, &staged, s, t, stages]() {
           per_shard[static_cast<std::size_t>(s)].push_back(t);
-          if (stages) eng.note_stage(t);
+          if (stages)
+            staged[static_cast<std::size_t>(s)].push_back(
+                {t, (s + 1) % kShards});
         });
       }
     }
-    eng.run({});
+    eng.run([&]() {
+      for (std::vector<Xfer>& v : staged) {
+        for (const Xfer& x : v) {
+          const double land = x.initiate + kWindow;
+          eng.at(land, x.to, [&per_shard, x, land]() {
+            per_shard[static_cast<std::size_t>(x.to)].push_back(-land);
+          });
+        }
+        v.clear();
+      }
+    });
     return per_shard;
   };
   const auto t1 = trace_of(1);
+  EXPECT_EQ(t1[1].size(), 40u + 6u);  // 6 of shard 0's events staged
   EXPECT_EQ(t1, trace_of(2));
   EXPECT_EQ(t1, trace_of(3));
 }
