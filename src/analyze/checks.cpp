@@ -1,16 +1,15 @@
 #include "analyze/checks.h"
 
 #include <algorithm>
-#include <deque>
-#include <map>
 #include <sstream>
-#include <unordered_map>
+#include <tuple>
 #include <utility>
 
 #include "common/check.h"
 #include "common/math.h"
 #include "mp/mailbox.h"
 #include "mp/message.h"
+#include "net/route_cache.h"
 #include "net/topology.h"
 
 namespace spb::analyze {
@@ -20,6 +19,31 @@ namespace {
 using mp::ScheduleOp;
 
 std::string op_location(const ScheduleOp& op) { return op.to_string(); }
+
+/// Counting sort of the items 0..n-1 by key_of(i) in [0, keys); items with
+/// a negative key are left out.  Bucket k is items[start[k], start[k+1]),
+/// in ascending item order.
+struct Buckets {
+  std::vector<int> start;
+  std::vector<int> items;
+};
+
+template <typename KeyOf>
+Buckets bucket_sort(std::size_t n, std::size_t keys, KeyOf key_of) {
+  Buckets b;
+  b.start.assign(keys + 1, 0);
+  for (std::size_t i = 0; i < n; ++i)
+    if (const int k = key_of(i); k >= 0)
+      ++b.start[static_cast<std::size_t>(k) + 1];
+  for (std::size_t k = 0; k < keys; ++k) b.start[k + 1] += b.start[k];
+  b.items.resize(static_cast<std::size_t>(b.start[keys]));
+  std::vector<int> fill(b.start.begin(), b.start.end() - 1);
+  for (std::size_t i = 0; i < n; ++i)
+    if (const int k = key_of(i); k >= 0)
+      b.items[static_cast<std::size_t>(fill[static_cast<std::size_t>(k)]++)] =
+          static_cast<int>(i);
+  return b;
+}
 
 /// Statically re-derived matching: send id <-> recv id (-1 = unmatched).
 struct Matching {
@@ -32,33 +56,67 @@ struct Matching {
 Matching derive_matching(const mp::Schedule& sched,
                          std::vector<Violation>& out) {
   const auto& ops = sched.ops();
+  const auto p = static_cast<std::size_t>(sched.rank_count());
   Matching m;
   m.send_consumer.assign(ops.size(), -1);
   m.recv_source.assign(ops.size(), -1);
 
-  // Per destination rank: FIFO queues of pending send ids per (src, tag).
-  using Key = std::pair<Rank, int>;
-  std::vector<std::map<Key, std::deque<int>>> pending(
-      static_cast<std::size_t>(sched.rank_count()));
-  for (const ScheduleOp& op : ops) {
-    if (op.is_send())
-      pending[static_cast<std::size_t>(op.peer)][{op.rank, op.tag}]
-          .push_back(op.id);
+  // Sends bucketed by destination, each bucket sorted by (src, tag, id): a
+  // run of equal (src, tag) is one FIFO group, and the groups of a bucket
+  // are in (src, tag) order.
+  struct Pending {
+    Rank src;
+    int tag;
+    int id;
+  };
+  const Buckets by_dst = bucket_sort(ops.size(), p, [&](std::size_t i) {
+    return ops[i].is_send() ? ops[i].peer : -1;
+  });
+  const std::vector<int>& bucket = by_dst.start;
+  std::vector<Pending> sends;
+  sends.reserve(by_dst.items.size());
+  for (const int id : by_dst.items) {
+    const ScheduleOp& op = ops[static_cast<std::size_t>(id)];
+    sends.push_back({op.rank, op.tag, id});
   }
 
-  const auto erase_from_queue = [](std::deque<int>& q, int id) {
-    q.erase(std::find(q.begin(), q.end(), id));
+  // A group's head skips sends already consumed (a recorded hint may take
+  // one from the middle of its group).
+  struct Group {
+    Rank src;
+    int tag;
+    int head;
+    int end;
   };
+  std::vector<Group> groups;
+  std::vector<std::size_t> group_start(p + 1, 0);
+  for (std::size_t d = 0; d < p; ++d) {
+    const auto first = sends.begin() + bucket[d];
+    const auto last = sends.begin() + bucket[d + 1];
+    std::sort(first, last, [](const Pending& a, const Pending& b) {
+      return std::tie(a.src, a.tag, a.id) < std::tie(b.src, b.tag, b.id);
+    });
+    for (int i = bucket[d]; i < bucket[d + 1];) {
+      const Pending& g = sends[static_cast<std::size_t>(i)];
+      int j = i + 1;
+      while (j < bucket[d + 1] &&
+             sends[static_cast<std::size_t>(j)].src == g.src &&
+             sends[static_cast<std::size_t>(j)].tag == g.tag)
+        ++j;
+      groups.push_back({g.src, g.tag, i, j});
+      i = j;
+    }
+    group_start[d + 1] = groups.size();
+  }
 
   for (Rank d = 0; d < sched.rank_count(); ++d) {
-    auto& groups = pending[static_cast<std::size_t>(d)];
     for (const int rid : sched.ops_of_rank(d)) {
       const ScheduleOp& recv = ops[static_cast<std::size_t>(rid)];
       if (!recv.is_recv()) continue;
 
-      const auto compatible = [&](const Key& k) {
-        const bool src_ok = recv.peer == mp::kAnySource || recv.peer == k.first;
-        const bool tag_ok = recv.tag == mp::kAnyTag || recv.tag == k.second;
+      const auto compatible = [&](Rank src, int tag) {
+        const bool src_ok = recv.peer == mp::kAnySource || recv.peer == src;
+        const bool tag_ok = recv.tag == mp::kAnyTag || recv.tag == tag;
         return src_ok && tag_ok;
       };
 
@@ -70,22 +128,24 @@ Matching derive_matching(const mp::Schedule& sched,
         const ScheduleOp& hint = ops[static_cast<std::size_t>(recv.match)];
         if (hint.is_send() && hint.peer == d &&
             m.send_consumer[static_cast<std::size_t>(hint.id)] < 0 &&
-            compatible({hint.rank, hint.tag})) {
+            compatible(hint.rank, hint.tag))
           chosen = hint.id;
-          erase_from_queue(groups[{hint.rank, hint.tag}], chosen);
-        }
       }
       if (chosen < 0) {
         // Earliest-issued compatible send (FIFO heads only).
-        Key best_key{};
-        for (const auto& [key, q] : groups) {
-          if (q.empty() || !compatible(key)) continue;
-          if (chosen < 0 || q.front() < chosen) {
-            chosen = q.front();
-            best_key = key;
-          }
+        const auto dst = static_cast<std::size_t>(d);
+        for (std::size_t gi = group_start[dst]; gi < group_start[dst + 1];
+             ++gi) {
+          Group& g = groups[gi];
+          if (!compatible(g.src, g.tag)) continue;
+          while (g.head < g.end &&
+                 m.send_consumer[static_cast<std::size_t>(
+                     sends[static_cast<std::size_t>(g.head)].id)] >= 0)
+            ++g.head;
+          if (g.head == g.end) continue;
+          const int id = sends[static_cast<std::size_t>(g.head)].id;
+          if (chosen < 0 || id < chosen) chosen = id;
         }
-        if (chosen >= 0) erase_from_queue(groups[best_key], chosen);
       }
 
       if (chosen < 0) {
@@ -144,39 +204,40 @@ Matching derive_matching(const mp::Schedule& sched,
   return m;
 }
 
-/// Wait-for graph: op -> ops it waits on (program predecessor; for a
-/// receive, also the send it matches).
-std::vector<std::vector<int>> dependency_edges(const mp::Schedule& sched,
-                                               const Matching& m) {
+/// Wait-for graph: op u waits on at most two ops, stored in slots 2u
+/// (program predecessor) and 2u+1 (for a receive, the send it matches);
+/// -1 marks an empty slot.
+std::vector<int> dependency_edges(const mp::Schedule& sched,
+                                  const Matching& m) {
   const auto& ops = sched.ops();
-  std::vector<std::vector<int>> deps(ops.size());
+  std::vector<int> deps(2 * ops.size(), -1);
   for (Rank r = 0; r < sched.rank_count(); ++r) {
     const auto& ids = sched.ops_of_rank(r);
     for (std::size_t i = 1; i < ids.size(); ++i)
-      deps[static_cast<std::size_t>(ids[i])].push_back(ids[i - 1]);
+      deps[2 * static_cast<std::size_t>(ids[i])] = ids[i - 1];
   }
-  for (const ScheduleOp& op : ops) {
-    if (!op.is_recv()) continue;
-    const int s = m.recv_source[static_cast<std::size_t>(op.id)];
-    if (s >= 0) deps[static_cast<std::size_t>(op.id)].push_back(s);
-  }
+  for (std::size_t u = 0; u < ops.size(); ++u)
+    if (ops[u].is_recv()) deps[2 * u + 1] = m.recv_source[u];
   return deps;
 }
 
 /// DFS cycle detection; returns one cycle as op ids (empty = acyclic).
-std::vector<int> find_cycle(const std::vector<std::vector<int>>& deps) {
-  const int n = static_cast<int>(deps.size());
-  std::vector<int> color(static_cast<std::size_t>(n), 0);  // 0/1/2
-  std::vector<int> parent(static_cast<std::size_t>(n), -1);
-  for (int root = 0; root < n; ++root) {
-    if (color[static_cast<std::size_t>(root)] != 0) continue;
-    // Iterative DFS; the stack holds (node, next edge index).
-    std::vector<std::pair<int, std::size_t>> stack{{root, 0}};
-    color[static_cast<std::size_t>(root)] = 1;
+std::vector<int> find_cycle(const std::vector<int>& deps) {
+  const std::size_t n = deps.size() / 2;
+  std::vector<int> color(n, 0);  // 0/1/2
+  std::vector<int> parent(n, -1);
+  // Iterative DFS; the stack holds (node, next slot).
+  std::vector<std::pair<int, int>> stack;
+  for (std::size_t root = 0; root < n; ++root) {
+    if (color[root] != 0) continue;
+    stack.push_back({static_cast<int>(root), 0});
+    color[root] = 1;
     while (!stack.empty()) {
       auto& [u, next] = stack.back();
-      if (next < deps[static_cast<std::size_t>(u)].size()) {
-        const int v = deps[static_cast<std::size_t>(u)][next++];
+      if (next < 2) {
+        const int v = deps[2 * static_cast<std::size_t>(u) +
+                           static_cast<std::size_t>(next++)];
+        if (v < 0) continue;
         if (color[static_cast<std::size_t>(v)] == 1) {
           // Found a back edge u -> v: walk parents from u back to v.
           std::vector<int> cycle{v};
@@ -200,30 +261,75 @@ std::vector<int> find_cycle(const std::vector<std::vector<int>>& deps) {
 }
 
 /// Kahn topological order over the dependency edges (partial if cyclic).
-std::vector<int> topological_order(
-    const std::vector<std::vector<int>>& deps) {
-  const int n = static_cast<int>(deps.size());
-  std::vector<int> blockers(static_cast<std::size_t>(n), 0);
-  std::vector<std::vector<int>> unblocks(static_cast<std::size_t>(n));
-  for (int u = 0; u < n; ++u) {
-    blockers[static_cast<std::size_t>(u)] =
-        static_cast<int>(deps[static_cast<std::size_t>(u)].size());
-    for (const int v : deps[static_cast<std::size_t>(u)])
-      unblocks[static_cast<std::size_t>(v)].push_back(u);
-  }
-  std::deque<int> ready;
-  for (int u = 0; u < n; ++u)
-    if (blockers[static_cast<std::size_t>(u)] == 0) ready.push_back(u);
+/// The output doubles as the FIFO queue.
+std::vector<int> topological_order(const std::vector<int>& deps) {
+  const std::size_t n = deps.size() / 2;
+  // Edge slots bucketed by the op they wait on; slot e belongs to op e/2.
+  const Buckets unblocks = bucket_sort(
+      deps.size(), n, [&](std::size_t e) { return deps[e]; });
+  std::vector<int> blockers(n, 0);
+  for (std::size_t e = 0; e < deps.size(); ++e)
+    if (deps[e] >= 0) ++blockers[e / 2];
+
   std::vector<int> order;
-  order.reserve(static_cast<std::size_t>(n));
-  while (!ready.empty()) {
-    const int u = ready.front();
-    ready.pop_front();
-    order.push_back(u);
-    for (const int w : unblocks[static_cast<std::size_t>(u)])
-      if (--blockers[static_cast<std::size_t>(w)] == 0) ready.push_back(w);
+  order.reserve(n);
+  for (std::size_t u = 0; u < n; ++u)
+    if (blockers[u] == 0) order.push_back(static_cast<int>(u));
+  for (std::size_t head = 0; head < order.size(); ++head) {
+    const auto u = static_cast<std::size_t>(order[head]);
+    for (int i = unblocks.start[u]; i < unblocks.start[u + 1]; ++i) {
+      const int w = unblocks.items[static_cast<std::size_t>(i)] / 2;
+      if (--blockers[static_cast<std::size_t>(w)] == 0) order.push_back(w);
+    }
   }
   return order;
+}
+
+/// Worst same-level contention: sends bucketed by level (op order kept
+/// inside a level), routed and counted per directed link.  The worst level
+/// is the one whose count first reached the global maximum in op order.
+void count_link_conflicts(const std::vector<ScheduleOp>& ops,
+                          const std::vector<int>& level,
+                          const stop::Problem& pb, QualityMetrics& q) {
+  const net::Topology& topo = *pb.machine.topology;
+  const net::RankMapping& mapping = pb.machine.mapping;
+  if (level.empty()) return;
+  const int max_level = *std::max_element(level.begin(), level.end());
+  const Buckets by_level = bucket_sort(
+      ops.size(), static_cast<std::size_t>(max_level) + 1,
+      [&](std::size_t i) { return ops[i].is_send() ? level[i] : -1; });
+
+  net::RouteCache routes(topo);
+  std::vector<int> count(static_cast<std::size_t>(topo.link_space()), 0);
+  std::vector<LinkId> touched;
+  int worst_first = -1;  // op id at which the worst level reached its max
+  for (int l = 0; l <= max_level; ++l) {
+    int level_max = 0;
+    int level_first = -1;
+    for (int i = by_level.start[static_cast<std::size_t>(l)];
+         i < by_level.start[static_cast<std::size_t>(l) + 1]; ++i) {
+      const ScheduleOp& op = ops[static_cast<std::size_t>(
+          by_level.items[static_cast<std::size_t>(i)])];
+      for (const LinkId link : routes.path(mapping.node_of(op.rank),
+                                           mapping.node_of(op.peer))) {
+        const int c = ++count[static_cast<std::size_t>(link)];
+        if (c == 1) touched.push_back(link);
+        if (c > level_max) {
+          level_max = c;
+          level_first = op.id;
+        }
+      }
+    }
+    if (level_max > q.max_link_conflicts ||
+        (level_max == q.max_link_conflicts && level_max > 0 &&
+         level_first < worst_first)) {
+      q.max_link_conflicts = level_max;
+      q.worst_conflict_level = l;
+      worst_first = level_first;
+    }
+    for (const LinkId link : touched) count[static_cast<std::size_t>(link)] = 0;
+    touched.clear();
+  }
 }
 
 }  // namespace
@@ -297,7 +403,7 @@ AnalysisReport analyze_schedule(const mp::Schedule& sched,
   const Matching m = derive_matching(sched, report.violations);
 
   // ---- 2. wait-for graph ---------------------------------------------
-  const std::vector<std::vector<int>> deps = dependency_edges(sched, m);
+  const std::vector<int> deps = dependency_edges(sched, m);
   const std::vector<int> cycle = find_cycle(deps);
   if (!cycle.empty()) {
     Violation v;
@@ -319,9 +425,10 @@ AnalysisReport analyze_schedule(const mp::Schedule& sched,
   std::vector<char> is_source(static_cast<std::size_t>(pb.p()), 0);
   for (const Rank s : pb.sources) is_source[static_cast<std::size_t>(s)] = 1;
 
+  std::vector<Rank> sorted;
   for (const ScheduleOp& op : ops) {
     if (!op.is_send()) continue;
-    std::vector<Rank> sorted = op.chunk_sources;
+    sorted.assign(op.chunk_sources.begin(), op.chunk_sources.end());
     std::sort(sorted.begin(), sorted.end());
     for (std::size_t i = 0; i < sorted.size(); ++i) {
       const Rank c = sorted[i];
@@ -363,6 +470,11 @@ AnalysisReport analyze_schedule(const mp::Schedule& sched,
       std::vector<char>(static_cast<std::size_t>(pb.p()), 0));
   for (const Rank s : pb.sources)
     held[static_cast<std::size_t>(s)][static_cast<std::size_t>(s)] = 1;
+  // Chunk size by source rank, for the redundant-bytes attribution.
+  std::vector<Bytes> chunk_bytes(static_cast<std::size_t>(pb.p()), 0);
+  for (std::size_t i = 0; i < pb.sources.size(); ++i)
+    chunk_bytes[static_cast<std::size_t>(pb.sources[i])] +=
+        pb.bytes_of_source(i);
 
   std::size_t provenance_reported = 0;
   for (const int id : topo) {
@@ -396,10 +508,8 @@ AnalysisReport analyze_schedule(const mp::Schedule& sched,
         auto& flag = mine[static_cast<std::size_t>(c)];
         if (flag) {
           ++report.quality.redundant_chunk_deliveries;
-          // Attribute the redundant bytes by looking the chunk size up.
-          for (std::size_t i = 0; i < pb.sources.size(); ++i)
-            if (pb.sources[i] == c)
-              report.quality.redundant_payload_bytes += pb.bytes_of_source(i);
+          report.quality.redundant_payload_bytes +=
+              chunk_bytes[static_cast<std::size_t>(c)];
         } else {
           flag = 1;
         }
@@ -473,25 +583,8 @@ AnalysisReport analyze_schedule(const mp::Schedule& sched,
   }
   for (const int l : level) q.critical_depth = std::max(q.critical_depth, l);
 
-  if (options.link_conflicts && pb.machine.topology) {
-    const net::Topology& topo_net = *pb.machine.topology;
-    const net::RankMapping& mapping = pb.machine.mapping;
-    // conflicts[level][link] would be huge; count per level on the fly.
-    std::map<int, std::unordered_map<LinkId, int>> per_level;
-    for (const ScheduleOp& op : ops) {
-      if (!op.is_send()) continue;
-      const NodeId a = mapping.node_of(op.rank);
-      const NodeId b = mapping.node_of(op.peer);
-      auto& counts = per_level[level[static_cast<std::size_t>(op.id)]];
-      for (const LinkId l : topo_net.route(a, b)) {
-        const int c = ++counts[l];
-        if (c > q.max_link_conflicts) {
-          q.max_link_conflicts = c;
-          q.worst_conflict_level = level[static_cast<std::size_t>(op.id)];
-        }
-      }
-    }
-  }
+  if (options.link_conflicts && pb.machine.topology)
+    count_link_conflicts(ops, level, pb, q);
 
   if (options.max_step_slack > 0 && q.round_lower_bound > 0 &&
       q.max_rank_steps >

@@ -24,6 +24,15 @@
 //     s*L*(p-1)/p per-rank lower bound, and per-level link-conflict
 //     counts on the problem's actual topology/mapping — regressions in
 //     schedule quality surface here before any benchmark moves.
+//
+// Cost for n ops, S of them sends, on p ranks: matching is O(n + S log S)
+// (one sort of the sends per destination), the wait-for graph, its cycle
+// search and topological order are O(n), the chunk checks are linear in
+// the carried chunk entries plus an O(p^2) held table, and the link
+// conflicts are O(S * route length) plus an O(p^2) route-cache slot table.
+// On a 130k-op t3d512 all-to-all schedule, routing the sends for the link
+// conflicts is about half of the analyzer's time, and recording the run
+// costs more than checking it (EXPERIMENTS.md, "Analyzer cost").
 #pragma once
 
 #include <string>

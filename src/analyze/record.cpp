@@ -1,5 +1,7 @@
 #include "analyze/record.h"
 
+#include <utility>
+
 #include "common/check.h"
 #include "stop/frame.h"
 
@@ -38,7 +40,7 @@ RecordedRun record_run(const stop::Algorithm& algorithm,
   } catch (const CheckError& e) {
     out.failure = e.what();
   }
-  out.schedule = rt.schedule();
+  out.schedule = std::move(rt).take_schedule();
   return out;
 }
 

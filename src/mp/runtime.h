@@ -29,6 +29,7 @@
 #include <stdexcept>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "common/types.h"
@@ -329,6 +330,8 @@ class Runtime {
   void enable_schedule_recording();
   bool schedule_recording() const { return schedule_enabled_; }
   const Schedule& schedule() const { return schedule_; }
+  /// Moves the recorded schedule out of a runtime that is done with it.
+  Schedule take_schedule() && { return std::move(schedule_); }
 
   sim::Simulator& simulator() { return sim_; }
   const net::NetworkModel& network() const { return net_; }

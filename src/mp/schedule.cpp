@@ -67,7 +67,10 @@ Schedule Schedule::from_ops(int rank_count, std::vector<ScheduleOp> ops) {
     op.id = static_cast<int>(i);
     op.step = next_step[static_cast<std::size_t>(op.rank)]++;
     if (op.match >= 0) {
-      op.match = remap[static_cast<std::size_t>(op.match)];
+      // remap only covers ids up to the largest one still present; a
+      // match beyond it points at a removed op.
+      const auto old = static_cast<std::size_t>(op.match);
+      op.match = old < remap.size() ? remap[old] : -1;
       // A recv whose matched send was removed is no longer completed: the
       // static checks must re-derive its fate.
       if (op.match < 0 && op.is_recv()) op.completed = false;

@@ -210,6 +210,91 @@ TEST(AnalyzeChecks, RecordedTwoStepRunPassesAllChecks) {
   EXPECT_GT(report.quality.total_payload_bytes, 0u);
 }
 
+// The matching tests below give every send a distinct wire size and
+// every receive the size of the send it must match, marked completed:
+// any other pick surfaces as a size mismatch.
+ScheduleOp completed_recv(int id, Rank rank, Rank src, int tag, int hint,
+                          Bytes wire) {
+  ScheduleOp op = recv_op(id, rank, src, tag);
+  op.completed = true;
+  op.match = hint;
+  op.wire_bytes = wire;
+  return op;
+}
+
+bool matching_ok(const AnalysisReport& r) {
+  return !has_kind(r, Violation::Kind::kSizeMismatch) &&
+         !has_kind(r, Violation::Kind::kUnmatchedRecv) &&
+         !has_kind(r, Violation::Kind::kUnreceivedSend);
+}
+
+TEST(AnalyzeChecks, HintTakenFromMidGroupLeavesTheRestInFifoOrder) {
+  // Three sends in one (src 0, tag 0) group.  The first receive's hint
+  // takes the middle one; the later hint-less receives get the oldest
+  // remaining send, then the newest.
+  const mp::Schedule sched = mp::Schedule::from_ops(
+      2, {send_op(0, 0, 1, 0, 100, {0}, 1000),
+          send_op(1, 0, 1, 0, 200, {0}, 1000),
+          send_op(2, 0, 1, 0, 300, {0}, 1000),
+          completed_recv(3, 1, 0, 0, 1, 200),
+          completed_recv(4, 1, 0, 0, -1, 100),
+          completed_recv(5, 1, 0, 0, -1, 300)});
+  const AnalysisReport report =
+      analyze_schedule(sched, two_rank_problem({0}));
+  EXPECT_TRUE(report.ok()) << report.to_string();
+}
+
+TEST(AnalyzeChecks, WildcardWithUnusableHintTakesEarliestHeadAcrossGroups) {
+  // Rank 2 receives from groups (0, tag 0), (0, tag 3), (1, tag 0) and
+  // (1, tag 1).  Group (1, 1) sorts last but holds the earliest send.
+  const stop::Problem pb =
+      stop::make_problem(machine::paragon(1, 3), std::vector<Rank>{0}, 1000);
+  const mp::Schedule sched = mp::Schedule::from_ops(
+      3, {send_op(0, 1, 2, 1, 110, {}, 0),
+          send_op(1, 0, 2, 0, 100, {0}, 1000),
+          send_op(2, 0, 2, 3, 130, {0}, 1000),
+          send_op(3, 1, 2, 0, 140, {}, 0),
+          send_op(4, 2, 0, 0, 150, {}, 0),
+          completed_recv(5, 2, 0, 3, 2, 130),
+          // Stale hint: send 2 is already consumed.
+          completed_recv(6, 2, mp::kAnySource, mp::kAnyTag, 2, 110),
+          // Incompatible hint: send 4 goes to rank 0, not rank 2.
+          completed_recv(7, 2, mp::kAnySource, 0, 4, 100),
+          completed_recv(8, 2, mp::kAnySource, mp::kAnyTag, -1, 140),
+          completed_recv(9, 0, 2, 0, 4, 150)});
+  const AnalysisReport report = analyze_schedule(sched, pb);
+  EXPECT_TRUE(matching_ok(report)) << report.to_string();
+}
+
+TEST(AnalyzeChecks, TiedConflictLevelsNameTheFirstToReachTheMaximum) {
+  // Rank 0 feeds rank 1 twice at level 1 (link 0->1); rank 1 forwards
+  // twice to rank 2 at level 2 (link 1->2).  Both levels peak at 2; the
+  // worst level is the one whose second transfer comes first in op order.
+  const stop::Problem pb =
+      stop::make_problem(machine::paragon(1, 3), std::vector<Rank>{0}, 1000);
+  const auto worst_level = [&](bool level2_first) {
+    std::vector<ScheduleOp> ops{send_op(0, 0, 1, 0, 1020, {0}, 1000),
+                                recv_op(1, 1, 0, 0)};
+    const ScheduleOp second_feed = send_op(0, 0, 1, 0, 1020, {0}, 1000);
+    if (!level2_first) ops.push_back(second_feed);
+    ops.push_back(send_op(0, 1, 2, 0, 1020, {0}, 1000));
+    ops.push_back(send_op(0, 1, 2, 0, 1020, {0}, 1000));
+    if (level2_first) ops.push_back(second_feed);
+    ops.push_back(recv_op(0, 1, 0, 0));
+    ops.push_back(recv_op(0, 2, 1, 0));
+    ops.push_back(recv_op(0, 2, 1, 0));
+    for (std::size_t i = 0; i < ops.size(); ++i)
+      ops[i].id = static_cast<int>(i);
+    const AnalysisReport report =
+        analyze_schedule(mp::Schedule::from_ops(3, std::move(ops)), pb);
+    EXPECT_TRUE(report.ok()) << report.to_string();
+    EXPECT_EQ(report.quality.max_link_conflicts, 2);
+    return report.quality.worst_conflict_level;
+  };
+  EXPECT_EQ(worst_level(true), 2);
+  EXPECT_EQ(worst_level(false), 1);
+}
+
 TEST(AnalyzeChecks, RankCountMismatchRejected) {
   const mp::Schedule sched = mp::Schedule::from_ops(
       4, {send_op(0, 0, 1, 0, 1020, {0}, 1000), recv_op(1, 1, 0, 0)});

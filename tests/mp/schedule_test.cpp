@@ -134,5 +134,28 @@ TEST(ScheduleRecording, FromOpsRemapsMatchEdges) {
   EXPECT_EQ(uncompleted, 1);
 }
 
+TEST(ScheduleRecording, FromOpsDroppingTheLastOpClearsItsMatch) {
+  // A receive posted before the send it consumes: dropping that send
+  // removes the highest id, so the receive's match edge points past every
+  // id that is left.
+  ScheduleOp recv;
+  recv.kind = ScheduleOp::Kind::kRecv;
+  recv.id = 0;
+  recv.rank = 1;
+  recv.peer = 0;
+  recv.match = 2;
+  recv.completed = true;
+  ScheduleOp other;
+  other.kind = ScheduleOp::Kind::kSend;
+  other.id = 1;
+  other.rank = 1;
+  other.peer = 0;
+  const Schedule rebuilt = Schedule::from_ops(2, {recv, other});
+  ASSERT_EQ(rebuilt.size(), 2u);
+  EXPECT_EQ(rebuilt.op(0).match, -1);
+  EXPECT_FALSE(rebuilt.op(0).completed);
+  EXPECT_EQ(rebuilt.op(1).match, -1);
+}
+
 }  // namespace
 }  // namespace spb::mp
