@@ -9,7 +9,6 @@
 #include "common/math.h"
 #include "mp/mailbox.h"
 #include "mp/message.h"
-#include "net/route_cache.h"
 #include "net/topology.h"
 
 namespace spb::analyze {
@@ -299,7 +298,7 @@ void count_link_conflicts(const std::vector<ScheduleOp>& ops,
       ops.size(), static_cast<std::size_t>(max_level) + 1,
       [&](std::size_t i) { return ops[i].is_send() ? level[i] : -1; });
 
-  net::RouteCache routes(topo);
+  std::vector<LinkId> path;
   std::vector<int> count(static_cast<std::size_t>(topo.link_space()), 0);
   std::vector<LinkId> touched;
   int worst_first = -1;  // op id at which the worst level reached its max
@@ -310,8 +309,9 @@ void count_link_conflicts(const std::vector<ScheduleOp>& ops,
          i < by_level.start[static_cast<std::size_t>(l) + 1]; ++i) {
       const ScheduleOp& op = ops[static_cast<std::size_t>(
           by_level.items[static_cast<std::size_t>(i)])];
-      for (const LinkId link : routes.path(mapping.node_of(op.rank),
-                                           mapping.node_of(op.peer))) {
+      topo.route_into(mapping.node_of(op.rank), mapping.node_of(op.peer),
+                      path);
+      for (const LinkId link : path) {
         const int c = ++count[static_cast<std::size_t>(link)];
         if (c == 1) touched.push_back(link);
         if (c > level_max) {

@@ -37,13 +37,12 @@ sim::Task personalized_exchange(
                         << " source flag disagrees with its payload");
 
   // All sends first: round t pushes my original to my round-t partner.
-  // The original is a copy of the initial payload — later merges must not
-  // leak into outgoing messages.
+  // send() copies `data` at the call, and the merges below only start once
+  // every send is done, so no received chunk leaks into a send.
   if (am_source && n >= 2) {
-    const mp::Payload original = data;
     for (int t = 1; t < n; ++t) {
       const int peer = exchange_partner(n, my_pos, t);
-      co_await comm.send((*seq)[static_cast<std::size_t>(peer)], original);
+      co_await comm.send((*seq)[static_cast<std::size_t>(peer)], data);
       comm.mark_iteration();
     }
   }

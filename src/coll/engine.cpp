@@ -26,14 +26,14 @@ sim::Task run_halving(mp::Comm& comm,
     const auto& actions = sched->actions(iter, my_pos);
     if (!actions.empty()) {
       // Sends ship the payload as of the start of the iteration; data
-      // merged during this iteration travels in later iterations.
-      const mp::Payload outgoing = data;
+      // merged during this iteration travels in later iterations.  send()
+      // copies `data` at the call, and nothing merges into it until every
+      // send of the iteration is done.
       for (const Action& a : actions) {
         if (a.type != Action::Type::kSend) continue;
-        SPB_CHECK_MSG(!outgoing.empty(),
+        SPB_CHECK_MSG(!data.empty(),
                       "schedule marked an empty rank as a sender");
-        co_await comm.send((*seq)[static_cast<std::size_t>(a.peer)],
-                           outgoing);
+        co_await comm.send((*seq)[static_cast<std::size_t>(a.peer)], data);
       }
       for (const Action& a : actions) {
         if (a.type != Action::Type::kRecv) continue;

@@ -9,6 +9,31 @@
 
 namespace spb::net {
 
+namespace {
+
+/// Appends a dimension-ordered walk over a 2-D mesh of channels starting at
+/// id `at`: |dx| column steps of ±x_stride on slot x_slot (+x) or
+/// x_slot + 1 (-x), and |dy| row steps of ±y_stride on slot x_slot + 2
+/// (+y) or x_slot + 3 (-y); X first unless `y_first`.
+void mesh_walk(NodeId at, int dx, int dy, int x_stride, int y_stride,
+               int slots, int x_slot, bool y_first, std::vector<LinkId>& out) {
+  const auto walk = [&](int d, int stride, int slot) {
+    const int step = d > 0 ? stride : -stride;
+    slot += d > 0 ? 0 : 1;
+    for (int i = std::abs(d); i > 0; --i, at += step)
+      out.push_back(at * slots + slot);
+  };
+  if (y_first) {
+    walk(dy, y_stride, x_slot + 2);
+    walk(dx, x_stride, x_slot);
+  } else {
+    walk(dx, x_stride, x_slot);
+    walk(dy, y_stride, x_slot + 2);
+  }
+}
+
+}  // namespace
+
 std::string Topology::describe_link(LinkId id) const {
   SPB_REQUIRE(id >= 0 && id < link_space(), "link id " << id
                                                        << " out of range");
@@ -35,13 +60,13 @@ LinearArray::LinearArray(int n) : n_(n) {
   SPB_REQUIRE(n >= 1, "LinearArray needs at least one node");
 }
 
-std::vector<LinkId> LinearArray::route(NodeId a, NodeId b) const {
+void LinearArray::route_into(NodeId a, NodeId b,
+                             std::vector<LinkId>& out) const {
   SPB_REQUIRE(a >= 0 && a < n_ && b >= 0 && b < n_, "node out of range");
-  std::vector<LinkId> path;
+  out.clear();
   const int step = a < b ? 1 : -1;
   const int dir = a < b ? 0 : 1;  // slot 0 = +x, slot 1 = -x
-  for (NodeId at = a; at != b; at += step) path.push_back(at * 2 + dir);
-  return path;
+  for (NodeId at = a; at != b; at += step) out.push_back(at * 2 + dir);
 }
 
 int LinearArray::hops(NodeId a, NodeId b) const {
@@ -71,47 +96,25 @@ NodeId Mesh2D::node_at(const Coord& c) const {
   return c.y() * cols_ + c.x();
 }
 
-std::vector<LinkId> Mesh2D::route_impl(NodeId a, NodeId b,
-                                       bool y_first) const {
-  const Coord ca = coord(a);
-  const Coord cb = coord(b);
-  std::vector<LinkId> path;
-  // Walk the X dimension at row `row`, appending to path.
-  const auto walk_x = [&](int row) {
-    int x = ca.x();
-    const int xdir = cb.x() > ca.x() ? 0 : 1;  // slot 0 = +x, 1 = -x
-    const int xstep = cb.x() > ca.x() ? 1 : -1;
-    while (x != cb.x()) {
-      path.push_back(node_at({x, row, 0}) * 4 + xdir);
-      x += xstep;
-    }
-  };
-  // Walk the Y dimension at column `col`.
-  const auto walk_y = [&](int col) {
-    int y = ca.y();
-    const int ydir = cb.y() > ca.y() ? 2 : 3;  // slot 2 = +y, 3 = -y
-    const int ystep = cb.y() > ca.y() ? 1 : -1;
-    while (y != cb.y()) {
-      path.push_back(node_at({col, y, 0}) * 4 + ydir);
-      y += ystep;
-    }
-  };
-  if (y_first) {
-    walk_y(ca.x());
-    walk_x(cb.y());
-  } else {
-    walk_x(ca.y());
-    walk_y(cb.x());
-  }
-  return path;
+void Mesh2D::walk(NodeId a, NodeId b, bool y_first,
+                  std::vector<LinkId>& out) const {
+  const int n = node_count();
+  SPB_REQUIRE(a >= 0 && a < n && b >= 0 && b < n, "node out of range");
+  out.clear();
+  // A column step moves the id by ±1, a row step by ±cols.  Slots:
+  // 0 = +x, 1 = -x, 2 = +y, 3 = -y.
+  mesh_walk(a, b % cols_ - a % cols_, b / cols_ - a / cols_, 1, cols_, 4, 0,
+            y_first, out);
 }
 
-std::vector<LinkId> Mesh2D::route(NodeId a, NodeId b) const {
-  return route_impl(a, b, y_first_);
+void Mesh2D::route_into(NodeId a, NodeId b, std::vector<LinkId>& out) const {
+  walk(a, b, y_first_, out);
 }
 
 std::vector<LinkId> Mesh2D::alt_route(NodeId a, NodeId b) const {
-  return route_impl(a, b, !y_first_);
+  std::vector<LinkId> path;
+  walk(a, b, !y_first_, path);
+  return path;
 }
 
 int Mesh2D::hops(NodeId a, NodeId b) const {
@@ -141,21 +144,21 @@ NodeId Hypercube::node_at(const Coord& c) const {
   return c.x();
 }
 
-std::vector<LinkId> Hypercube::route(NodeId a, NodeId b) const {
+void Hypercube::route_into(NodeId a, NodeId b,
+                           std::vector<LinkId>& out) const {
   SPB_REQUIRE(a >= 0 && a < node_count() && b >= 0 && b < node_count(),
               "node out of range");
   // E-cube: fix differing bits from dimension 0 upward; link slot d of a
   // node is its dimension-d channel.
-  std::vector<LinkId> path;
+  out.clear();
   NodeId at = a;
   for (int d = 0; d < dims_; ++d) {
     const NodeId bit = NodeId{1} << d;
     if ((at & bit) == (b & bit)) continue;
-    path.push_back(at * dims_ + d);
+    out.push_back(at * dims_ + d);
     at ^= bit;
   }
   SPB_CHECK(at == b);
-  return path;
 }
 
 int Hypercube::hops(NodeId a, NodeId b) const {
@@ -175,8 +178,10 @@ TorusND::TorusND(std::vector<int> dims) : dims_(std::move(dims)) {
               "torus needs 1.." << Coord::kMaxDims << " dimensions, got "
                                 << dims_.size());
   std::int64_t nodes = 1;
-  for (const int d : dims_) {
+  for (int k = 0; k < ndims(); ++k) {
+    const int d = dim(k);
     SPB_REQUIRE(d >= 1, "torus dimensions must be positive");
+    stride_[static_cast<std::size_t>(k)] = static_cast<int>(nodes);
     nodes *= d;
     SPB_REQUIRE(nodes <= (std::int64_t{1} << 22),
                 "torus too large (" << nodes << " nodes)");
@@ -215,42 +220,53 @@ int TorusND::torus_delta(int from, int to, int size) {
   return forward <= -backward ? forward : backward;
 }
 
-std::vector<LinkId> TorusND::route_impl(NodeId a, NodeId b,
-                                        bool reverse) const {
-  Coord at = coord(a);
-  const Coord cb = coord(b);
-  std::vector<LinkId> path;
+void TorusND::walk(NodeId a, NodeId b, bool reverse,
+                   std::vector<LinkId>& out) const {
+  SPB_REQUIRE(a >= 0 && a < nodes_ && b >= 0 && b < nodes_,
+              "node out of range");
+  out.clear();
   const int slots = slots_per_node();
-
+  NodeId at = a;
   // Walk dimension k with wraparound, taking the shorter direction
-  // (positive on ties); slot 2k is +dim k, slot 2k+1 is -dim k.
-  const auto walk = [&](int k) {
+  // (positive on ties); slot 2k is +dim k, slot 2k+1 is -dim k.  A step
+  // moves the id by the dimension's stride, and crossing the wrap moves it
+  // back by (size - 1) strides.
+  const auto walk_dim = [&](int k) {
     const int size = dim(k);
-    const int delta = torus_delta(at[k], cb[k], size);
+    const int stride = stride_[static_cast<std::size_t>(k)];
+    int c = at / stride % size;
+    const int delta = torus_delta(c, b / stride % size, size);
     const int step = delta >= 0 ? 1 : -1;
     const int slot = delta >= 0 ? 2 * k : 2 * k + 1;
     for (int i = 0; i != delta; i += step) {
-      path.push_back(node_at(at) * slots + slot);
-      at[k] = (at[k] + step + size) % size;
+      out.push_back(at * slots + slot);
+      c += step;
+      if (c == size || c < 0) {
+        c -= step * size;
+        at -= step * (size - 1) * stride;
+      } else {
+        at += step * stride;
+      }
     }
   };
   if (reverse) {
-    for (int k = ndims() - 1; k >= 0; --k) walk(k);
+    for (int k = ndims() - 1; k >= 0; --k) walk_dim(k);
   } else {
-    for (int k = 0; k < ndims(); ++k) walk(k);
+    for (int k = 0; k < ndims(); ++k) walk_dim(k);
   }
-  SPB_CHECK(at == cb);
-  return path;
+  SPB_CHECK(at == b);
 }
 
-std::vector<LinkId> TorusND::route(NodeId a, NodeId b) const {
-  return route_impl(a, b, /*reverse=*/false);
+void TorusND::route_into(NodeId a, NodeId b, std::vector<LinkId>& out) const {
+  walk(a, b, /*reverse=*/false, out);
 }
 
 // Same shorter-wrap walk as route(), in the reverse dimension order so a
 // degraded link on the primary path can be bypassed.
 std::vector<LinkId> TorusND::alt_route(NodeId a, NodeId b) const {
-  return route_impl(a, b, /*reverse=*/true);
+  std::vector<LinkId> path;
+  walk(a, b, /*reverse=*/true, path);
+  return path;
 }
 
 int TorusND::hops(NodeId a, NodeId b) const {
@@ -336,58 +352,31 @@ NodeId Cluster::node_at(const Coord& c) const {
   return (c.y() * ncols_ + c.x()) * cores_ + c.z();
 }
 
-std::vector<LinkId> Cluster::route_impl(NodeId a, NodeId b,
-                                        bool y_first) const {
+void Cluster::walk(NodeId a, NodeId b, bool y_first,
+                   std::vector<LinkId>& out) const {
   SPB_REQUIRE(a >= 0 && a < node_count() && b >= 0 && b < node_count(),
               "node out of range");
-  std::vector<LinkId> path;
-  if (a == b) return path;
+  out.clear();
+  if (a == b) return;
   const int na = a / cores_;
   const int nb = b / cores_;
-  path.push_back(a * 6 + 0);  // core -> node switch
-  if (na != nb) {
-    // Walk the node mesh; every mesh channel belongs to its node's core 0.
-    int ax = na % ncols_;
-    int ay = na / ncols_;
-    const int bx = nb % ncols_;
-    const int by = nb / ncols_;
-    const auto base = [&](int x, int y) {
-      return static_cast<NodeId>((y * ncols_ + x) * cores_);
-    };
-    const auto walk_x = [&](int y) {
-      const int dir = bx > ax ? 2 : 3;  // slot 2 = +x, 3 = -x
-      const int step = bx > ax ? 1 : -1;
-      while (ax != bx) {
-        path.push_back(base(ax, y) * 6 + dir);
-        ax += step;
-      }
-    };
-    const auto walk_y = [&](int x) {
-      const int dir = by > ay ? 4 : 5;  // slot 4 = +y, 5 = -y
-      const int step = by > ay ? 1 : -1;
-      while (ay != by) {
-        path.push_back(base(x, ay) * 6 + dir);
-        ay += step;
-      }
-    };
-    if (y_first) {
-      walk_y(ax);
-      walk_x(by);
-    } else {
-      walk_x(ay);
-      walk_y(bx);
-    }
-  }
-  path.push_back(b * 6 + 1);  // node switch -> core
-  return path;
+  out.push_back(a * 6 + 0);  // core -> node switch
+  // Walk the node mesh; every mesh channel belongs to its node's core 0,
+  // so the walk steps core-0 ids: ±cores per column, ±cols*cores per row,
+  // on slots 2..5 (+x, -x, +y, -y).
+  mesh_walk(na * cores_, nb % ncols_ - na % ncols_, nb / ncols_ - na / ncols_,
+            cores_, ncols_ * cores_, 6, 2, y_first, out);
+  out.push_back(b * 6 + 1);  // node switch -> core
 }
 
-std::vector<LinkId> Cluster::route(NodeId a, NodeId b) const {
-  return route_impl(a, b, /*y_first=*/false);
+void Cluster::route_into(NodeId a, NodeId b, std::vector<LinkId>& out) const {
+  walk(a, b, /*y_first=*/false, out);
 }
 
 std::vector<LinkId> Cluster::alt_route(NodeId a, NodeId b) const {
-  return route_impl(a, b, /*y_first=*/true);
+  std::vector<LinkId> path;
+  walk(a, b, /*y_first=*/true, path);
+  return path;
 }
 
 int Cluster::hops(NodeId a, NodeId b) const {

@@ -6,6 +6,14 @@
 // the deterministic dimension-ordered route between two nodes.  Timing and
 // contention live in net::NetworkModel.
 //
+// Routing has one primitive, route_into(): on these machines a
+// dimension-ordered route is one straight walk per dimension, so each
+// topology steps the node id by its per-dimension strides (±1 and ±cols on
+// the mesh, stride and wrap on the torus) and appends one LinkId per hop
+// into a caller-owned buffer.  Nothing is memoized and, once the buffer has
+// grown to the longest path, nothing is allocated; route() is a
+// convenience wrapper that returns a fresh vector.
+//
 // Link identifiers: every node has a fixed number of outgoing directed
 // channel slots (2 for the array, 4 for the mesh, 2 per dimension for a
 // torus), and LinkId = node * slots + direction.  Border slots of
@@ -57,8 +65,18 @@ class Topology {
   virtual int link_space() const = 0;
 
   /// Deterministic dimension-ordered route from a to b as a sequence of
-  /// directed links.  Empty iff a == b.
-  virtual std::vector<LinkId> route(NodeId a, NodeId b) const = 0;
+  /// directed links: clears `out` and appends the path (empty iff a == b).
+  /// Validates a and b once and never allocates once `out` has room for
+  /// the path — the network model calls it for every reserved message.
+  virtual void route_into(NodeId a, NodeId b,
+                          std::vector<LinkId>& out) const = 0;
+
+  /// route_into() into a fresh vector.
+  std::vector<LinkId> route(NodeId a, NodeId b) const {
+    std::vector<LinkId> path;
+    route_into(a, b, path);
+    return path;
+  }
 
   /// A deterministic alternate route using the opposite dimension order,
   /// where the topology has one (mesh: YX instead of XY, torus: the
@@ -102,7 +120,8 @@ class LinearArray final : public Topology {
 
   int node_count() const override { return n_; }
   int link_space() const override { return n_ * 2; }
-  std::vector<LinkId> route(NodeId a, NodeId b) const override;
+  void route_into(NodeId a, NodeId b,
+                  std::vector<LinkId>& out) const override;
   int hops(NodeId a, NodeId b) const override;
   Coord coord(NodeId n) const override { return {n, 0, 0}; }
   NodeId node_at(const Coord& c) const override { return c.x(); }
@@ -128,7 +147,8 @@ class Mesh2D final : public Topology {
 
   int node_count() const override { return rows_ * cols_; }
   int link_space() const override { return node_count() * 4; }
-  std::vector<LinkId> route(NodeId a, NodeId b) const override;
+  void route_into(NodeId a, NodeId b,
+                  std::vector<LinkId>& out) const override;
   std::vector<LinkId> alt_route(NodeId a, NodeId b) const override;
   int hops(NodeId a, NodeId b) const override;
   Coord coord(NodeId n) const override;
@@ -137,7 +157,7 @@ class Mesh2D final : public Topology {
   int slots_per_node() const override { return 4; }
 
  private:
-  std::vector<LinkId> route_impl(NodeId a, NodeId b, bool y_first) const;
+  void walk(NodeId a, NodeId b, bool y_first, std::vector<LinkId>& out) const;
 
   int rows_;
   int cols_;
@@ -158,7 +178,8 @@ class Hypercube final : public Topology {
 
   int node_count() const override { return 1 << dims_; }
   int link_space() const override { return node_count() * dims_; }
-  std::vector<LinkId> route(NodeId a, NodeId b) const override;
+  void route_into(NodeId a, NodeId b,
+                  std::vector<LinkId>& out) const override;
   int hops(NodeId a, NodeId b) const override;
   Coord coord(NodeId n) const override;
   NodeId node_at(const Coord& c) const override;
@@ -186,7 +207,8 @@ class TorusND : public Topology {
 
   int node_count() const override { return nodes_; }
   int link_space() const override { return nodes_ * slots_per_node(); }
-  std::vector<LinkId> route(NodeId a, NodeId b) const override;
+  void route_into(NodeId a, NodeId b,
+                  std::vector<LinkId>& out) const override;
   std::vector<LinkId> alt_route(NodeId a, NodeId b) const override;
   int hops(NodeId a, NodeId b) const override;
   Coord coord(NodeId n) const override;
@@ -200,9 +222,11 @@ class TorusND : public Topology {
   static int torus_delta(int from, int to, int size);
 
  private:
-  std::vector<LinkId> route_impl(NodeId a, NodeId b, bool reverse) const;
+  void walk(NodeId a, NodeId b, bool reverse, std::vector<LinkId>& out) const;
 
   std::vector<int> dims_;
+  // Node-id stride of each dimension: the product of the sizes below it.
+  std::array<int, Coord::kMaxDims> stride_{};
   int nodes_;
 };
 
@@ -250,7 +274,8 @@ class Cluster final : public Topology {
 
   int node_count() const override { return nodes() * cores_; }
   int link_space() const override { return node_count() * 6; }
-  std::vector<LinkId> route(NodeId a, NodeId b) const override;
+  void route_into(NodeId a, NodeId b,
+                  std::vector<LinkId>& out) const override;
   std::vector<LinkId> alt_route(NodeId a, NodeId b) const override;
   int hops(NodeId a, NodeId b) const override;
   Coord coord(NodeId n) const override;
@@ -261,7 +286,7 @@ class Cluster final : public Topology {
   int slots_per_node() const override { return 6; }
 
  private:
-  std::vector<LinkId> route_impl(NodeId a, NodeId b, bool y_first) const;
+  void walk(NodeId a, NodeId b, bool y_first, std::vector<LinkId>& out) const;
 
   int nrows_;
   int ncols_;

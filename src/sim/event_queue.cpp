@@ -1,14 +1,34 @@
 #include "sim/event_queue.h"
 
+#include <algorithm>
 #include <utility>
 
 #include "common/check.h"
 
 namespace spb::sim {
 
+void EventQueue::place(const Entry& e) {
+  const int b = bucket_of(e.key);
+  buckets_[static_cast<std::size_t>(b)].push_back(e);
+  if (b == 0) return;
+  const std::uint64_t bit = std::uint64_t{1} << b;
+  if ((nonempty_ & bit) == 0) {
+    nonempty_ |= bit;
+    min_[static_cast<std::size_t>(b)] = e.key;
+  } else {
+    min_[static_cast<std::size_t>(b)] =
+        std::min(min_[static_cast<std::size_t>(b)], e.key);
+  }
+}
+
 void EventQueue::push(SimTime t, EventFn fn) {
   SPB_REQUIRE(static_cast<bool>(fn), "cannot schedule a null event callback");
   SPB_REQUIRE(t >= 0, "cannot schedule an event at negative time " << t);
+  // + 0.0 normalizes -0.0, whose bit pattern would order last.
+  const auto key = std::bit_cast<std::uint64_t>(t + 0.0);
+  SPB_REQUIRE(key >= last_, "cannot schedule an event at t="
+                                << t << " before the last popped event at "
+                                << std::bit_cast<SimTime>(last_));
   std::uint32_t slot;
   if (!free_slots_.empty()) {
     slot = free_slots_.back();
@@ -16,73 +36,35 @@ void EventQueue::push(SimTime t, EventFn fn) {
     slots_[slot] = std::move(fn);
   } else {
     slot = static_cast<std::uint32_t>(slots_.size());
-    SPB_CHECK_MSG(slot < kSlotMask, "event queue slot space exhausted");
     slots_.push_back(std::move(fn));
   }
-  const std::uint64_t seq = next_seq_++;
-  SPB_CHECK_MSG(seq < (std::uint64_t{1} << (64 - kSlotBits)),
-                "event sequence space exhausted");
-  // + 0.0 normalizes -0.0, whose bit pattern would order last.
-  heap_.push_back(
-      Key{std::bit_cast<std::uint64_t>(t + 0.0), (seq << kSlotBits) | slot});
-  sift_up(heap_.size() - 1);
-  if (heap_.size() > peak_) peak_ = heap_.size();
+  place(Entry{key, slot});
+  ++pushed_;
+  if (++size_ > peak_) peak_ = size_;
+}
+
+// Bucket 0 is dry: the lowest non-empty bucket holds the minimum, which
+// becomes the new base.  Relative to it, every entry of that bucket lands
+// in a strictly lower bucket — all of them empty now — in its old order.
+void EventQueue::refill() {
+  buckets_[0].clear();
+  head0_ = 0;
+  const int from = std::countr_zero(nonempty_);
+  std::vector<Entry>& moving = buckets_[static_cast<std::size_t>(from)];
+  nonempty_ &= ~(std::uint64_t{1} << from);
+  last_ = min_[static_cast<std::size_t>(from)];
+  for (const Entry& e : moving) place(e);
+  moving.clear();
 }
 
 Event EventQueue::pop() {
-  SPB_REQUIRE(!heap_.empty(), "pop() on an empty event queue");
-  const Key top = heap_.front();
-  if (heap_.size() > 1) {
-    heap_.front() = heap_.back();
-    heap_.pop_back();
-    sift_down(0);
-  } else {
-    heap_.pop_back();
-  }
-  const auto slot = static_cast<std::uint32_t>(top.seq_slot & kSlotMask);
-  Event out{std::bit_cast<SimTime>(top.tkey), top.seq_slot >> kSlotBits,
-            std::move(slots_[slot])};
+  SPB_REQUIRE(size_ != 0, "pop() on an empty event queue");
+  if (head0_ == buckets_[0].size()) refill();
+  const std::uint32_t slot = buckets_[0][head0_++].slot;
+  --size_;
+  Event out{std::bit_cast<SimTime>(last_), std::move(slots_[slot])};
   free_slots_.push_back(slot);
   return out;
-}
-
-void EventQueue::sift_up(std::size_t i) {
-  const Key key = heap_[i];
-  while (i > 0) {
-    const std::size_t parent = (i - 1) / 4;
-    if (!earlier(key, heap_[parent])) break;
-    heap_[i] = heap_[parent];
-    i = parent;
-  }
-  heap_[i] = key;
-}
-
-void EventQueue::sift_down(std::size_t i) {
-  const std::size_t n = heap_.size();
-  const Key key = heap_[i];
-  const Key* h = heap_.data();
-  for (;;) {
-    const std::size_t first = 4 * i + 1;
-    std::size_t best;
-    if (first + 4 <= n) {
-      // Full node (the overwhelmingly common case): branchless min-of-4
-      // over one cache line.
-      best = first;
-      best = earlier(h[first + 1], h[best]) ? first + 1 : best;
-      best = earlier(h[first + 2], h[best]) ? first + 2 : best;
-      best = earlier(h[first + 3], h[best]) ? first + 3 : best;
-    } else if (first < n) {
-      best = first;
-      for (std::size_t c = first + 1; c < n; ++c)
-        if (earlier(h[c], h[best])) best = c;
-    } else {
-      break;
-    }
-    if (!earlier(h[best], key)) break;
-    heap_[i] = h[best];
-    i = best;
-  }
-  heap_[i] = key;
 }
 
 }  // namespace spb::sim

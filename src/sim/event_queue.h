@@ -1,7 +1,6 @@
 // Time-ordered event queue.  Events with equal timestamps are dispatched in
-// insertion order (a monotonically increasing sequence number breaks ties),
-// which makes every simulation bit-for-bit deterministic — a property the
-// tests assert and the benchmark harness relies on.
+// insertion order, which makes every simulation bit-for-bit deterministic —
+// a property the tests assert and the benchmark harness relies on.
 //
 // Performance shape (this is the simulator's innermost loop — several
 // events per simulated message, hundreds of thousands per sweep):
@@ -9,13 +8,24 @@
 //    handles, `[&runtime, slot]` captures — so the hot path never touches
 //    the heap.  Larger or non-trivially-copyable callables (std::function,
 //    test lambdas capturing containers) transparently spill to the heap.
-//  * The heap is a flat 4-ary array heap over 16-byte (time, seq+slot)
-//    keys; the callables themselves sit still in a slot pool.  Sifting
-//    moves small trivially-copyable keys, and a node's four children
-//    span a single cache line — shallower and far denser in cache than
-//    a binary heap of full events.
+//  * The queue is a monotone radix heap over the timestamp's bit pattern.
+//    Simulated time never runs backwards, so every pending key is >= the
+//    key `last_` of the last popped event, and an entry lives in bucket
+//    64 - countl_zero(key ^ last_): bucket 0 holds keys equal to last_,
+//    bucket i > 0 keys whose highest bit differing from last_ is bit i-1.
+//    Every key in a lower bucket is smaller than every key in a higher one.
+//    Buckets are FIFO vectors of 16-byte (key, slot) entries; the callables
+//    sit still in a slot pool.  A push is an append, and a pop reads bucket
+//    0 through a head cursor; when bucket 0 runs dry, the lowest non-empty
+//    bucket is redistributed around its minimum, which becomes last_.  Each
+//    entry moves down at most 63 times over its life, and in practice once
+//    or twice — no sift loops and none of their cache misses.
+//  * Ties stay FIFO: equal keys always share a bucket, appends keep push
+//    order, and a redistribution copies one bucket, in order, into buckets
+//    that are empty at that moment.
 #pragma once
 
+#include <array>
 #include <bit>
 #include <cstddef>
 #include <cstdint>
@@ -115,65 +125,63 @@ class EventFn {
 /// A scheduled callback.
 struct Event {
   SimTime time = 0;
-  std::uint64_t seq = 0;
   EventFn fn;
 };
 
 class EventQueue {
  public:
-  /// Enqueues fn at absolute time t.
+  /// Enqueues fn at absolute time t.  t must not precede the last popped
+  /// event's time: the radix buckets are relative to it.
   void push(SimTime t, EventFn fn);
 
   /// Removes and returns the earliest event (FIFO among equal times).
   Event pop();
 
-  bool empty() const { return heap_.empty(); }
-  std::size_t size() const { return heap_.size(); }
+  bool empty() const { return size_ == 0; }
+  std::size_t size() const { return size_; }
 
   /// Timestamp of the earliest pending event without popping it (queue
-  /// must be non-empty).  The sharded engine uses this to find each
-  /// window's start and to stop a shard's drain at the window end.
-  SimTime top_time() const { return std::bit_cast<SimTime>(heap_[0].tkey); }
+  /// must be non-empty).  O(1), and it never moves the radix base: the
+  /// sharded engine reads every shard's head to plan a window and then
+  /// pushes events below those heads at the barrier.
+  SimTime top_time() const {
+    return std::bit_cast<SimTime>(head0_ < buckets_[0].size()
+                                      ? last_
+                                      : min_[std::countr_zero(nonempty_)]);
+  }
 
   /// Total number of events ever pushed.
-  std::uint64_t pushed() const { return next_seq_; }
+  std::uint64_t pushed() const { return pushed_; }
 
   /// High-water mark of the queue depth (perf-harness metric: a proxy for
   /// how much concurrency the simulated algorithm exposes).
   std::size_t peak_size() const { return peak_; }
 
  private:
-  /// Heap entry, 16 bytes.  `tkey` is the timestamp's bit pattern: for
-  /// non-negative doubles (simulated time never goes negative — push
-  /// enforces it) unsigned bit-pattern order equals numeric order, which
-  /// lets earlier() compare integers without float-compare branches.
-  /// `seq_slot` packs the sequence number into the high 40 bits and the
-  /// parked callable's slot into the low 24; sequence bits dominate the
-  /// compare, so ordering on (tkey, seq_slot) is ordering on (time, seq).
-  /// Four children span exactly one cache line.
-  struct Key {
-    std::uint64_t tkey;
-    std::uint64_t seq_slot;
+  /// Bucket entry.  `key` is the timestamp's bit pattern: for non-negative
+  /// doubles unsigned bit-pattern order equals numeric order.
+  struct Entry {
+    std::uint64_t key;
+    std::uint32_t slot;
   };
 
-  static constexpr std::uint64_t kSlotBits = 24;  // 16M concurrent events
-  static constexpr std::uint64_t kSlotMask = (std::uint64_t{1} << kSlotBits) - 1;
+  static constexpr int kBuckets = 64;  // keys are sign-free: bit 63 is 0
 
-  /// Branchless on purpose: equal timestamps (resolved by seq) are the
-  /// common case in lock-step collectives and would mispredict a
-  /// short-circuit form badly.
-  static bool earlier(const Key& a, const Key& b) {
-    return (a.tkey < b.tkey) |
-           ((a.tkey == b.tkey) & (a.seq_slot < b.seq_slot));
+  int bucket_of(std::uint64_t key) const {
+    return 64 - std::countl_zero(key ^ last_);
   }
+  void place(const Entry& e);
+  void refill();
 
-  void sift_up(std::size_t i);
-  void sift_down(std::size_t i);
-
-  std::vector<Key> heap_;        // flat 4-ary min-heap on (time, seq)
-  std::vector<EventFn> slots_;   // parked callables, indexed by slot
+  std::array<std::vector<Entry>, kBuckets> buckets_;
+  std::array<std::uint64_t, kBuckets> min_{};  // per bucket 1..63
+  std::uint64_t nonempty_ = 0;  // bit i: bucket i > 0 holds entries
+  std::size_t head0_ = 0;       // next unread entry of bucket 0
+  std::uint64_t last_ = 0;      // key of the last popped event
+  std::vector<EventFn> slots_;  // parked callables, indexed by slot
   std::vector<std::uint32_t> free_slots_;
-  std::uint64_t next_seq_ = 0;
+  std::size_t size_ = 0;
+  std::uint64_t pushed_ = 0;
   std::size_t peak_ = 0;
 };
 

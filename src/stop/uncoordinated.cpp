@@ -29,17 +29,18 @@ sim::Task uncoord_program(mp::Comm& comm, mp::Payload& data,
   const int s = static_cast<int>(plan->trees.size());
   comm.begin_phase("flood");
 
-  // Kick off my own tree, if I am a source (my payload is my original).
+  // Kick off my own tree, if I am a source (my payload is my original:
+  // send() copies it at the call, and nothing is kept until the
+  // forwarding loop below).
   int expected = s;
   for (int i = 0; i < s; ++i) {
     if (plan->sources[static_cast<std::size_t>(i)] != comm.rank()) continue;
     --expected;
-    const mp::Payload original = data;
     for (const int child :
          plan->trees[static_cast<std::size_t>(i)]
              .children[static_cast<std::size_t>(my_pos)]) {
       co_await comm.send((*plan->seq)[static_cast<std::size_t>(child)],
-                         original, kTreeTagBase + i);
+                         data, kTreeTagBase + i);
     }
     comm.mark_iteration();
   }
