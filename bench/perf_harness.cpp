@@ -169,14 +169,8 @@ void bench_end_to_end(Metrics& m, double min_ms) {
         static_cast<double>(last.outcome.peak_queue_depth));
 }
 
-void bench_end_to_end_parallel(Metrics& m, double min_ms) {
-  // The acceptance combo of the sharded engine: t3d512 long-message
-  // broadcast, serial loop vs the sharded conservative-window engine at 8
-  // drain workers.  Both events/sec rates gate; the window-efficiency
-  // numbers describe how much concurrency the windows actually exposed
-  // (informational).  On a single-core host the parallel rate reflects
-  // engine overhead, not scaling — the byte-identical-outcome contract is
-  // what the concurrency tests pin down.
+void bench_end_to_end_t3d(Metrics& m, double min_ms) {
+  // A large-machine run: t3d512 long-message broadcast, 64 random sources.
   const auto machine = machine::t3d(512);
   const auto alg = stop::make_br_lin();
   const stop::Problem pb =
@@ -188,22 +182,6 @@ void bench_end_to_end_parallel(Metrics& m, double min_ms) {
   });
   m.add("end_to_end_t3d_serial_events_per_sec",
         static_cast<double>(serial.outcome.events) / (serial_ns / 1e9));
-
-  stop::RunResult par;
-  const double par_ns = time_ns_per_op(min_ms, 1, [&] {
-    par = stop::run(*alg, pb, stop::RunConfig{}.sim_threads(8));
-  });
-  m.add("end_to_end_t3d_par_events_per_sec",
-        static_cast<double>(par.outcome.events) / (par_ns / 1e9));
-  const mp::ParallelStats& ps = par.outcome.par;
-  m.add("par_shards", static_cast<double>(ps.shards));
-  m.add("par_windows", static_cast<double>(ps.windows));
-  const std::uint64_t slots =
-      ps.windows * static_cast<std::uint64_t>(ps.shards);
-  m.add("par_window_busy_frac",
-        slots == 0 ? 0.0
-                   : 1.0 - static_cast<double>(ps.idle_shard_windows) /
-                               static_cast<double>(slots));
 }
 
 void bench_sweep(Metrics& m, int jobs) {
@@ -273,7 +251,7 @@ int main(int argc, char** argv) {
   bench_payload_merge(m, min_ms);
   bench_routes(m, min_ms);
   bench_end_to_end(m, min_ms);
-  bench_end_to_end_parallel(m, min_ms);
+  bench_end_to_end_t3d(m, min_ms);
   bench_sweep(m, jobs);
 
   for (const auto& [name, value] : m.values)

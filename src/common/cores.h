@@ -3,8 +3,8 @@
 // std::thread::hardware_concurrency() reports the machine's cores and
 // ignores the CPU affinity mask, so under `taskset`, a cgroup cpuset or a
 // container pinned to fewer cores it overstates how many threads can run
-// at once.  Thread-pool sizing (the sharded engine's spawn cap, its auto
-// mode, and the default sweep --jobs) uses this instead.
+// at once.  Thread-pool sizing (the default sweep --jobs, which runs whole
+// simulations side by side) uses this instead.
 #pragma once
 
 namespace spb {

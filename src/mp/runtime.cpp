@@ -5,8 +5,6 @@
 #include <utility>
 
 #include "common/check.h"
-#include "common/cores.h"
-#include "net/regions.h"
 
 namespace spb::mp {
 
@@ -25,7 +23,7 @@ std::vector<Rank> chunk_sources_of(const Payload& p) {
 
 int Comm::size() const { return rt_->size(); }
 
-SimTime Comm::now() const { return rt_->now_us(); }
+SimTime Comm::now() const { return rt_->sim_.now(); }
 
 Bytes Comm::wire_bytes(const Payload& p) const {
   return wire_bytes_for(p.total_bytes(), p.chunk_count());
@@ -82,12 +80,13 @@ void Comm::mark_iteration() { metrics_.mark_iteration(); }
 void Comm::begin_phase(std::string_view name) {
   const int id = rt_->phase_id(name);
   metrics_.phase_begin(id);
-  phase_stack_.push_back(OpenPhase{id, rt_->now_us()});
+  const SimTime now = rt_->sim_.now();
+  phase_stack_.push_back(OpenPhase{id, now});
   if (rt_->trace_enabled_) {
     TraceEvent e;
     e.kind = TraceEvent::Kind::kPhaseBegin;
     e.rank = rank_;
-    e.begin_us = e.end_us = rt_->now_us();
+    e.begin_us = e.end_us = now;
     e.phase = id;
     rt_->trace_.record(e);
   }
@@ -98,7 +97,7 @@ void Comm::end_phase() {
               "rank " << rank_ << ": end_phase() without begin_phase()");
   const OpenPhase open = phase_stack_.back();
   phase_stack_.pop_back();
-  const SimTime now = rt_->now_us();
+  const SimTime now = rt_->sim_.now();
   metrics_.phase_span(open.id, now - open.began);
   if (rt_->trace_enabled_) {
     TraceEvent e;
@@ -122,7 +121,7 @@ void Comm::SendAwaiter::await_suspend(std::coroutine_handle<> h) {
   msg.tag = tag;
   msg.wire_bytes = wire_override > 0 ? wire_override : c.wire_bytes(payload);
   msg.payload = std::move(payload);
-  msg.sent_at = rt.now_us();
+  msg.sent_at = rt.sim_.now();
 
   if (rt.schedule_enabled_) {
     msg.sched_send_op = rt.schedule_.record_send(
@@ -144,17 +143,8 @@ void Comm::SendAwaiter::await_suspend(std::coroutine_handle<> h) {
   }
 
   const SimTime ready =
-      rt.now_us() +
+      rt.sim_.now() +
       (cp.send_overhead_us + cp.mpi_extra_us) * rt.slowdown(c.rank_);
-
-  if (rt.parallel_active()) {
-    // Parallel path: the network model is barrier-only shared state.  Park
-    // the message in the shard's staging buffer; the sequencer reserves in
-    // canonical order and schedules delivery + sender resume — which the
-    // lookahead (ready >= now + window) proves land in a later window.
-    rt.stage_send(std::move(msg), ready, h);
-    return;
-  }
 
   const net::Transfer t =
       rt.net_.reserve(rt.mapping_.node_of(c.rank_), rt.mapping_.node_of(dst),
@@ -198,7 +188,7 @@ void Comm::RecvAwaiter::await_suspend(std::coroutine_handle<> h) {
   Comm& c = *comm;
   Runtime& rt = *c.rt_;
   const CommParams& cp = rt.params_;
-  called_at = rt.now_us();
+  called_at = rt.sim_.now();
 
   if (rt.schedule_enabled_)
     sched_op = rt.schedule_.record_recv_post(c.rank_, src, tag);
@@ -207,10 +197,9 @@ void Comm::RecvAwaiter::await_suspend(std::coroutine_handle<> h) {
   if (c.mailbox_.try_take(src, tag, msg)) {
     blocked = false;
     result = std::move(msg);
-    rt.sched_at_rank(
-        called_at +
-            (cp.recv_overhead_us + cp.mpi_extra_us) * rt.slowdown(c.rank_),
-        c.rank_, [h]() { h.resume(); });
+    rt.sim_.at(called_at + (cp.recv_overhead_us + cp.mpi_extra_us) *
+                               rt.slowdown(c.rank_),
+               [h]() { h.resume(); });
     return;
   }
   blocked = true;
@@ -237,7 +226,7 @@ Message Comm::RecvAwaiter::await_resume() {
     e.tag = result.tag;
     e.wire_bytes = result.wire_bytes;
     e.begin_us = called_at;
-    e.end_us = c.rt_->now_us();
+    e.end_us = c.rt_->sim_.now();
     e.blocked = blocked;
     e.phase = c.current_phase();
     c.rt_->trace_.record(e);
@@ -248,7 +237,7 @@ Message Comm::RecvAwaiter::await_resume() {
 void Comm::ComputeAwaiter::await_suspend(std::coroutine_handle<> h) {
   Runtime& rt = *comm->rt_;
   const double actual = us * rt.slowdown(comm->rank_);
-  const SimTime now = rt.now_us();
+  const SimTime now = rt.sim_.now();
   comm->metrics_.on_compute(actual, comm->current_phase());
   if (rt.trace_enabled_) {
     TraceEvent e;
@@ -259,7 +248,7 @@ void Comm::ComputeAwaiter::await_suspend(std::coroutine_handle<> h) {
     e.phase = comm->current_phase();
     rt.trace_.record(e);
   }
-  rt.sched_at_rank(now + actual, comm->rank_, [h]() { h.resume(); });
+  rt.sim_.at(now + actual, [h]() { h.resume(); });
 }
 
 void Comm::MergeAwaiter::await_resume() {
@@ -327,20 +316,6 @@ void Runtime::set_fault_plan(fault::FaultPlanPtr plan) {
 }
 
 std::uint32_t Runtime::stash_inflight(Message msg) {
-  if (parallel_active()) {
-    // Barrier-only under the engine: pool growth must be single-threaded.
-    // Scan the per-shard free lists in shard order so slot reuse is
-    // deterministic regardless of which shard freed what.
-    for (std::vector<std::uint32_t>& free : inflight_free_par_) {
-      if (free.empty()) continue;
-      const std::uint32_t slot = free.back();
-      free.pop_back();
-      inflight_[slot] = std::move(msg);
-      return slot;
-    }
-    inflight_.push_back(std::move(msg));
-    return static_cast<std::uint32_t>(inflight_.size() - 1);
-  }
   if (!inflight_free_.empty()) {
     const std::uint32_t slot = inflight_free_.back();
     inflight_free_.pop_back();
@@ -353,176 +328,23 @@ std::uint32_t Runtime::stash_inflight(Message msg) {
 
 Message Runtime::unstash_inflight(std::uint32_t slot) {
   Message m = std::move(inflight_[slot]);
-  if (parallel_active()) {
-    // Delivery events run inside windows: freeing into the executing
-    // shard's own list keeps the free lists single-writer.
-    inflight_free_par_[static_cast<std::size_t>(engine_->current_shard())]
-        .push_back(slot);
-  } else {
-    inflight_free_.push_back(slot);
-  }
+  inflight_free_.push_back(slot);
   return m;
 }
 
 int Runtime::phase_id(std::string_view name) {
   SPB_REQUIRE(!name.empty(), "phase names must be non-empty");
   // Runs annotate a handful of phases; a linear scan beats a map here.
-  // Parallel path: interning happens inside concurrent drains, so each
-  // shard keeps its own table (ids are shard-local until run() merges
-  // them via merge_shard_phases).
-  std::vector<std::string>& names =
-      parallel_active()
-          ? phase_names_par_[static_cast<std::size_t>(
-                engine_->current_shard())]
-          : phase_names_;
-  for (std::size_t i = 0; i < names.size(); ++i)
-    if (names[i] == name) return static_cast<int>(i);
-  names.emplace_back(name);
-  return static_cast<int>(names.size() - 1);
-}
-
-void Runtime::enable_parallel(int threads) {
-  SPB_REQUIRE(!ran_, "enable_parallel() after run()");
-  SPB_REQUIRE(threads >= 1 || threads == -1,
-              "enable_parallel() needs threads >= 1 or -1 for auto (got "
-                  << threads << "); 0 means the serial loop "
-                  << "— simply do not call it");
-  par_threads_ = threads;
-}
-
-double Runtime::lookahead_us() const {
-  double w = params_.send_overhead_us + params_.mpi_extra_us;
-  if (plan_ != nullptr && plan_->spec().message_faults()) {
-    // Retransmit staging events reserve with ready == their own time, so
-    // their deliveries are only a network-latency floor away; their
-    // retries are a backoff (>= one timeout) away.
-    w = std::min(w, net_.params().alpha_us + net_.params().per_hop_us);
-    w = std::min(w, plan_->spec().retransmit_timeout_us);
-  }
-  return w;
-}
-
-SimTime Runtime::now_us() const {
-  return parallel_active() && engine_->current_shard() >= 0 ? engine_->now()
-                                                           : sim_.now();
-}
-
-void Runtime::sched_at_rank(SimTime t, Rank r, sim::EventFn fn) {
-  if (parallel_active()) {
-    engine_->at(t, shard_of_rank_[static_cast<std::size_t>(r)],
-                std::move(fn));
-  } else {
-    sim_.at(t, std::move(fn));
-  }
-}
-
-void Runtime::stage_send(Message msg, SimTime ready,
-                         std::coroutine_handle<> h) {
-  const int shard = engine_->current_shard();
-  StagedXfer x;
-  x.initiate = engine_->now();
-  x.ready = ready;
-  x.msg = std::move(msg);
-  x.h = h;
-  x.kind = StagedXfer::Kind::kSend;
-  staged_[static_cast<std::size_t>(shard)].push_back(std::move(x));
+  for (std::size_t i = 0; i < phase_names_.size(); ++i)
+    if (phase_names_[i] == name) return static_cast<int>(i);
+  phase_names_.emplace_back(name);
+  return static_cast<int>(phase_names_.size() - 1);
 }
 
 void Runtime::sched_retransmit(SimTime t, std::uint32_t slot, int attempt) {
-  if (parallel_active()) {
-    // The staging event lives on the sender's shard (the simulated NIC);
-    // when it fires it parks a request that the next barrier reserves.
-    const Rank src = inflight_[slot].src;
-    engine_->at(t, shard_of_rank_[static_cast<std::size_t>(src)],
-                [this, slot, attempt]() {
-                  StagedXfer x;
-                  x.initiate = engine_->now();
-                  x.ready = x.initiate;
-                  x.slot = slot;
-                  x.attempt = attempt;
-                  x.kind = StagedXfer::Kind::kRetransmit;
-                  staged_[static_cast<std::size_t>(engine_->current_shard())]
-                      .push_back(std::move(x));
-                });
-  } else {
-    sim_.at(t, [this, slot, attempt]() {
-      retransmit(slot, attempt, sim_.now());
-    });
-  }
-}
-
-void Runtime::sequencer_flush() {
-  // Canonical order: (initiate time, staging shard, staging order).  Each
-  // shard's staging vector is already initiate-ordered (drains are
-  // time-ordered), so the barrier k-way-merges them; ties go to the lower
-  // shard.  Windows partition time, so every transfer staged in a later
-  // window initiates after all of these: the run's reserve order is one
-  // global sort, whatever the worker count.
-  const std::size_t shards = staged_.size();
-  std::vector<std::size_t> cursor(shards, 0);
-  for (;;) {
-    std::size_t best = shards;
-    SimTime best_t = 0;
-    for (std::size_t s = 0; s < shards; ++s) {
-      if (cursor[s] >= staged_[s].size()) continue;
-      const SimTime t = staged_[s][cursor[s]].initiate;
-      if (best == shards || t < best_t) {
-        best = s;
-        best_t = t;
-      }
-    }
-    if (best == shards) break;
-    StagedXfer& x = staged_[best][cursor[best]++];
-    ++staged_xfers_;
-    if (x.kind == StagedXfer::Kind::kSend) {
-      const Rank src = x.msg.src;
-      const Rank dst = x.msg.dst;
-      const Bytes wire = x.msg.wire_bytes;
-      const net::Transfer t = net_.reserve(
-          mapping_.node_of(src), mapping_.node_of(dst), wire, x.ready);
-      x.msg.arrived_at = t.arrive;
-      const std::uint32_t slot = stash_inflight(std::move(x.msg));
-      if (!seq_.empty()) {
-        after_reserve(slot, 0, t);
-      } else {
-        sched_at_rank(t.arrive, dst, [this, slot]() {
-          deliver(unstash_inflight(slot));
-        });
-      }
-      sched_at_rank(t.inject_done, src, [h = x.h]() { h.resume(); });
-    } else {
-      retransmit(x.slot, x.attempt, x.ready);
-    }
-  }
-  for (std::vector<StagedXfer>& v : staged_) v.clear();
-}
-
-void Runtime::merge_shard_phases() {
-  // Canonical global table: shard 0's names in order, then every name a
-  // later shard saw first.  Ranks then remap their shard-local ids.
-  std::vector<std::vector<int>> to_global(phase_names_par_.size());
-  for (std::size_t s = 0; s < phase_names_par_.size(); ++s) {
-    to_global[s].reserve(phase_names_par_[s].size());
-    for (const std::string& name : phase_names_par_[s]) {
-      int id = -1;
-      for (std::size_t g = 0; g < phase_names_.size(); ++g)
-        if (phase_names_[g] == name) {
-          id = static_cast<int>(g);
-          break;
-        }
-      if (id < 0) {
-        phase_names_.push_back(name);
-        id = static_cast<int>(phase_names_.size() - 1);
-      }
-      to_global[s].push_back(id);
-    }
-  }
-  for (Rank r = 0; r < size(); ++r) {
-    const auto shard = static_cast<std::size_t>(
-        shard_of_rank_[static_cast<std::size_t>(r)]);
-    comms_[static_cast<std::size_t>(r)]->metrics_.remap_phases(
-        to_global[shard]);
-  }
+  sim_.at(t, [this, slot, attempt]() {
+    retransmit(slot, attempt, sim_.now());
+  });
 }
 
 void Runtime::after_reserve(std::uint32_t slot, int attempt,
@@ -568,8 +390,7 @@ void Runtime::after_reserve(std::uint32_t slot, int attempt,
                      attempt + 1);
   }
 
-  sched_at_rank(t.arrive, dst,
-                [this, slot]() { deliver(unstash_inflight(slot)); });
+  sim_.at(t.arrive, [this, slot]() { deliver(unstash_inflight(slot)); });
 }
 
 void Runtime::retransmit(std::uint32_t slot, int attempt, SimTime ready) {
@@ -618,10 +439,9 @@ void Runtime::deliver_now(Message msg) {
       dst.pending_.reset();
       const Rank r = msg.dst;
       aw->result = std::move(msg);
-      sched_at_rank(
-          now_us() +
-              (params_.recv_overhead_us + params_.mpi_extra_us) * slowdown(r),
-          r, [h]() { h.resume(); });
+      sim_.at(sim_.now() + (params_.recv_overhead_us + params_.mpi_extra_us) *
+                               slowdown(r),
+              [h]() { h.resume(); });
       return;
     }
   }
@@ -636,41 +456,13 @@ RunOutcome Runtime::run() {
     SPB_REQUIRE(tasks_[static_cast<std::size_t>(r)].valid(),
                 "rank " << r << " has no program");
 
-  // The sharded engine only pays off (and only stays simple) when ranks are
-  // plural, there is positive lookahead, and nothing needs the serial loop's
-  // global event order (tracing and schedule recording both do: their
-  // records interleave across ranks in execution order).  The fallback is
-  // automatic so callers can set sim_threads unconditionally.
-  const double window = lookahead_us();
-  const bool use_par = par_threads_ != 0 && p >= 2 && window > 0 &&
-                       !trace_enabled_ && !schedule_enabled_;
-  if (use_par) {
-    const int nodes = net_.topology().node_count();
-    const int shards = net::region_count(nodes);
-    // Auto mode sizes the pool to the usable cores (the engine clamps it
-    // to the shard count).
-    const int threads = par_threads_ < 0 ? usable_cores() : par_threads_;
-    engine_ = std::make_unique<sim::ShardedEngine>(shards, window, threads);
-    shard_of_rank_.resize(static_cast<std::size_t>(p));
-    for (Rank r = 0; r < p; ++r)
-      shard_of_rank_[static_cast<std::size_t>(r)] =
-          net::region_of_node(mapping_.node_of(r), nodes, shards);
-    staged_.resize(static_cast<std::size_t>(shards));
-    inflight_free_par_.resize(static_cast<std::size_t>(shards));
-    phase_names_par_.resize(static_cast<std::size_t>(shards));
-  }
-
   for (Rank r = 0; r < p; ++r) {
-    sched_at_rank(0.0, r, [this, r]() {
+    sim_.at(0.0, [this, r]() {
       tasks_[static_cast<std::size_t>(r)].start(
-          [this, r]() { done_at_[static_cast<std::size_t>(r)] = now_us(); });
+          [this, r]() { done_at_[static_cast<std::size_t>(r)] = sim_.now(); });
     });
   }
-  if (use_par) {
-    engine_->run([this]() { sequencer_flush(); });
-  } else {
-    sim_.run();
-  }
+  sim_.run();
 
   // Surface program exceptions first: a CheckError inside a rank program is
   // more informative than the secondary deadlock it may have caused.
@@ -736,10 +528,6 @@ RunOutcome Runtime::run() {
     }
     c.metrics_.finalize();
   }
-  // Shard-local phase ids (including the leftover spans just closed) fold
-  // into the canonical global table only after every span is recorded.
-  if (use_par) merge_shard_phases();
-
   std::vector<RankMetrics> per_rank;
   per_rank.reserve(static_cast<std::size_t>(p));
   for (Rank r = 0; r < p; ++r)
@@ -752,23 +540,8 @@ RunOutcome Runtime::run() {
   out.link_busy_us.reserve(static_cast<std::size_t>(links));
   for (LinkId l = 0; l < links; ++l)
     out.link_busy_us.push_back(net_.link_busy_us(l));
-  if (use_par) {
-    out.events = engine_->events_executed();
-    out.peak_queue_depth = engine_->peak_queue_depth();
-    const sim::EngineStats es = engine_->stats();
-    out.par.shards = engine_->shard_count();
-    out.par.window_us = engine_->window_us();
-    out.par.windows = es.windows;
-    out.par.idle_shard_windows = es.idle_shard_windows;
-    out.par.staged_xfers = staged_xfers_;
-    out.par.per_shard.reserve(es.shards.size());
-    for (const sim::ShardStats& s : es.shards)
-      out.par.per_shard.push_back(ParallelStats::Shard{
-          s.events, s.peak_queue_depth, s.busy_windows, s.idle_windows});
-  } else {
-    out.events = sim_.events_executed();
-    out.peak_queue_depth = sim_.peak_queue_depth();
-  }
+  out.events = sim_.events_executed();
+  out.peak_queue_depth = sim_.peak_queue_depth();
   return out;
 }
 

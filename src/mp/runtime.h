@@ -21,6 +21,10 @@
 //    after one global synchronization).
 //  * If the simulation drains with unfinished programs, run() throws
 //    DeadlockError naming every rank and the source it is stuck waiting on.
+//  * run() is one serial event loop (sim::Simulator) on the calling thread.
+//    Runtimes share no mutable state, so separate runs may proceed on
+//    separate threads at once; that is where spb's parallelism lives
+//    (sweeps at --jobs N, serve workers), not inside a run.
 #pragma once
 
 #include <functional>
@@ -42,7 +46,6 @@
 #include "mp/trace.h"
 #include "net/mapping.h"
 #include "net/network.h"
-#include "sim/sharded.h"
 #include "sim/simulator.h"
 #include "sim/task.h"
 
@@ -72,32 +75,22 @@ class DeadlockError : public std::runtime_error {
       : std::runtime_error(what) {}
 };
 
-/// Sharded-engine statistics of one run (see Runtime::enable_parallel).
-/// Every field is independent of the worker-thread count — reports built
-/// from it diff clean across SPB_SIM_THREADS settings — so the requested
-/// thread count itself is deliberately absent.
+// --- benchmark compat ---------------------------------------------------
+// spbbench's hand-run sim_auto workload still compiles against
+// ParallelStats and RunOutcome::par (and stop::RunConfig::sim_threads).
+// Runs are serial, so par is always default-constructed; only spbbench and
+// the test that pins this no-op read it, and it goes away with sim_auto.
 struct ParallelStats {
-  /// Region/shard count the event space was partitioned into; 0 means the
-  /// run used the classic serial loop (default, or fallback).
   int shards = 0;
-  /// Conservative window width (Runtime::lookahead_us at run time).
-  double window_us = 0;
-  /// Windows executed.
   std::uint64_t windows = 0;
-  /// Shard-window slots that executed nothing (stall measure).
-  std::uint64_t idle_shard_windows = 0;
-  /// Cross-shard transfers staged through window barriers over the run.
   std::uint64_t staged_xfers = 0;
   struct Shard {
-    std::uint64_t events = 0;
-    std::uint64_t peak_queue_depth = 0;
     std::uint64_t busy_windows = 0;
     std::uint64_t idle_windows = 0;
   };
   std::vector<Shard> per_shard;
-
-  bool parallel() const { return shards > 0; }
 };
+// --- end benchmark compat -------------------------------------------------
 
 /// Result of Runtime::run().
 struct RunOutcome {
@@ -115,7 +108,7 @@ struct RunOutcome {
   /// Comm::begin_phase); rows are indexed by interned phase id and carry
   /// the phase names.
   std::vector<PhaseTotals> phases;
-  /// Sharded-engine statistics (par.parallel() is false for serial runs).
+  /// Benchmark compat (see ParallelStats): always default-constructed.
   ParallelStats par;
 };
 
@@ -286,30 +279,6 @@ class Runtime {
     return plan_ == nullptr ? 1.0 : plan_->rank_slowdown(r);
   }
 
-  /// Requests the sharded conservative-window engine (sim/sharded.h) with
-  /// up to `threads` drain workers for run(); `threads == -1` sizes the
-  /// pool from the usable cores (common/cores.h; clamped to the shard
-  /// count).  Outcomes are byte-identical for every accepted value — the
-  /// shard partition, the window plan and the barrier's canonical reserve
-  /// order depend only on machine and parameters, never on the worker
-  /// count.
-  /// run() silently falls back to the classic serial loop when an
-  /// order-sensitive observer is on (tracing, schedule recording), when
-  /// the lookahead collapses to zero (e.g. zero-overhead test fixtures),
-  /// or when p < 2; the fallback decision is itself thread-count
-  /// independent.
-  void enable_parallel(int threads);
-
-  /// The conservative window width for this runtime's parameters: the
-  /// earliest a cross-region event produced at the window barrier can land
-  /// after its cause.  Sends release nothing before the sender's software
-  /// overhead (send_overhead_us + mpi_extra_us, stragglers only stretch
-  /// it); under message faults, barrier-ordered retransmission also bounds
-  /// the window by the network latency floor (alpha + one hop) and the
-  /// retransmit timeout.  <= 0 means no lookahead: parallel mode falls
-  /// back to the serial loop.
-  double lookahead_us() const;
-
   /// Enables event tracing (before run()); see mp/trace.h.
   void enable_trace() { trace_enabled_ = true; }
   const Trace& trace() const { return trace_; }
@@ -351,11 +320,13 @@ class Runtime {
   /// Fault-run send path: decides the fate of one transmission attempt of
   /// the stashed message (delivered, delivered-but-ack-lost, or dropped
   /// with a scheduled retransmit) from the reserved transfer's timing.
-  /// Serial path: runs inline at reserve time.  Parallel path: runs at the
-  /// window barrier only (it touches the network model).
+  /// Runs inline at reserve time.
   void after_reserve(std::uint32_t slot, int attempt, const net::Transfer& t);
+  /// Schedules transmission attempt `attempt` of the stashed message in
+  /// slot `slot` at time t.
+  void sched_retransmit(SimTime t, std::uint32_t slot, int attempt);
   /// Re-injects a stashed message for transmission attempt `attempt`,
-  /// ready to inject at `ready`.  Parallel path: barrier only.
+  /// ready to inject at `ready`.
   void retransmit(std::uint32_t slot, int attempt, SimTime ready);
 
   // In-flight message pool.  Delivery events used to capture the whole
@@ -365,61 +336,8 @@ class Runtime {
   std::uint32_t stash_inflight(Message msg);
   Message unstash_inflight(std::uint32_t slot);
 
-  /// Interns a phase name.  Serial path: runtime-wide, so ids agree across
-  /// ranks.  Parallel path: per-shard tables (interning from concurrent
-  /// drains must not share state); run() merges them into the canonical
-  /// runtime-wide table and remaps every rank's metrics.
+  /// Interns a phase name runtime-wide, so ids agree across ranks.
   int phase_id(std::string_view name);
-
-  // --- parallel engine plumbing (see sim/sharded.h) ---------------------
-  //
-  // The network model is zero-lookahead shared state: reserve() claims
-  // whole paths globally and its results depend on reservation *order*.
-  // Shards therefore never call it.  A send (or retransmit) event only
-  // stages a transfer request into its shard's staging vector; the window
-  // barrier — single-threaded, all drains quiescent — executes every
-  // staged reserve in the canonical (initiate time, staging shard,
-  // staging order) order and schedules the resulting delivery and
-  // sender-resume events into the next window, which the lookahead
-  // guarantees they cannot precede.
-
-  /// One staged transfer request (per-shard SPSC: written by the shard's
-  /// drain inside the window, consumed by the barrier).
-  struct StagedXfer {
-    /// Time of the staging event — the canonical order's major key.
-    SimTime initiate = 0;
-    /// Earliest injection time passed to NetworkModel::reserve.
-    SimTime ready = 0;
-    /// kSend: the message (stashed into the in-flight pool at the
-    /// barrier, where pool growth is single-threaded).
-    Message msg;
-    /// kRetransmit: in-flight pool slot of the stashed message.
-    std::uint32_t slot = 0;
-    /// kRetransmit: transmission attempt number.
-    int attempt = 0;
-    /// kSend: sender coroutine, resumed at injection completion.
-    std::coroutine_handle<> h;
-    enum class Kind : std::uint8_t { kSend, kRetransmit };
-    Kind kind = Kind::kSend;
-  };
-
-  bool parallel_active() const { return engine_ != nullptr; }
-  /// Clock of the calling context: the draining shard's clock under the
-  /// engine, the global simulator clock otherwise.
-  SimTime now_us() const;
-  /// Schedules fn at t on rank r's home shard (parallel) or the simulator
-  /// (serial).
-  void sched_at_rank(SimTime t, Rank r, sim::EventFn fn);
-  /// Schedules a retransmit-staging event for the stashed message in slot
-  /// `slot` at time t (barrier context under the engine).
-  void sched_retransmit(SimTime t, std::uint32_t slot, int attempt);
-  /// Stages a send request from the current drain (parallel path only).
-  void stage_send(Message msg, SimTime ready, std::coroutine_handle<> h);
-  /// The window barrier: executes all staged requests in canonical order.
-  void sequencer_flush();
-  /// Merges the per-shard phase tables into phase_names_ and remaps every
-  /// rank's shard-local phase ids to the canonical ones.
-  void merge_shard_phases();
 
   sim::Simulator sim_;
   net::NetworkModel net_;
@@ -439,20 +357,6 @@ class Runtime {
   std::vector<std::string> phase_names_;
   bool schedule_enabled_ = false;
   Schedule schedule_;
-
-  // Parallel-engine state; all empty/null on the serial path (the default),
-  // so serial runs pay nothing beyond a null check per dispatch.
-  int par_threads_ = 0;  // 0 = serial loop; -1 = auto-size from the host
-  std::unique_ptr<sim::ShardedEngine> engine_;
-  std::vector<int> shard_of_rank_;
-  std::vector<std::vector<StagedXfer>> staged_;  // indexed by shard
-  /// Transfers the barrier has executed (ParallelStats::staged_xfers).
-  std::uint64_t staged_xfers_ = 0;
-  /// Per-shard in-flight free lists: a delivery event frees its slot into
-  /// the executing shard's list (no shared mutation inside a window); the
-  /// barrier's stash scans them in shard order (deterministic reuse).
-  std::vector<std::vector<std::uint32_t>> inflight_free_par_;
-  std::vector<std::vector<std::string>> phase_names_par_;  // per shard
 };
 
 }  // namespace spb::mp

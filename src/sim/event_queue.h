@@ -141,9 +141,9 @@ class EventQueue {
   std::size_t size() const { return size_; }
 
   /// Timestamp of the earliest pending event without popping it (queue
-  /// must be non-empty).  O(1), and it never moves the radix base: the
-  /// sharded engine reads every shard's head to plan a window and then
-  /// pushes events below those heads at the barrier.
+  /// must be non-empty).  O(1) and const: it never moves the radix base,
+  /// so a peek leaves later pushes free to land anywhere at or after the
+  /// last popped time, including below the head it returned.
   SimTime top_time() const {
     return std::bit_cast<SimTime>(head0_ < buckets_[0].size()
                                       ? last_

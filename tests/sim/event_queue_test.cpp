@@ -141,8 +141,9 @@ TEST(EventQueue, RandomizedMonotoneMatchesStableSort) {
 }
 
 TEST(EventQueue, TopTimeDoesNotMoveTheBase) {
-  // The sharded engine's barrier pattern: read every shard's head, then
-  // push below it.  top_time() must be a pure read.
+  // Peek at the head, then push below it: top_time() must be a pure read
+  // that leaves later pushes free to land anywhere at or after the last
+  // popped time.
   EventQueue q;
   std::vector<int> order;
   q.push(5.0, [&] { order.push_back(5); });

@@ -12,16 +12,8 @@ TEST(RunConfig, DefaultLowersToDefaultRunOptions) {
   constexpr RunOptions lowered = RunConfig{};
   static_assert(lowered.verify && !lowered.trace && !lowered.record_schedule &&
                 !lowered.link_stats);
-  static_assert(lowered.sim_threads == 0,
-                "serial loop must stay the default");
   EXPECT_FALSE(lowered.faults.any());
   EXPECT_EQ(lowered.fault_seed, RunOptions{}.fault_seed);
-}
-
-TEST(RunConfig, SimThreadsLowersIntoRunOptions) {
-  constexpr RunOptions o = RunConfig{}.sim_threads(8);
-  static_assert(o.sim_threads == 8);
-  EXPECT_TRUE(o.verify);  // orthogonal knobs untouched
 }
 
 TEST(RunConfig, FluentChainsSetEveryKnob) {

@@ -25,12 +25,12 @@ U4 flag-static-asserts   Every zero-cost feature flag (RunOptions{}.trace,
                          covered by a static_assert proving it defaults to
                          off, so a stray default never taxes the hot path.
 U5 mutable-global-state  Mutable static / namespace-scope state in src/sim,
-                         src/net or src/mp.  The sharded engine drains
-                         those hot paths on several worker threads, so
-                         shared mutable state is a data race and a
-                         determinism leak.  Make it const, std::atomic,
-                         per-shard, or annotate with
-                         NOLINT(spb-mutable-global): <rationale>.
+                         src/net or src/mp.  Whole simulations run those
+                         hot paths concurrently on sweep and serve worker
+                         threads, so shared mutable state is a data race
+                         and a determinism leak.  Make it const,
+                         std::atomic, a member of the run, or annotate
+                         with NOLINT(spb-mutable-global): <rationale>.
 U6 registry-catalogue    Every machine-registry entry
                          (entries_.push_back({...}) in
                          src/machine/registry.cpp) must fill .pattern,

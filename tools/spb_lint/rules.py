@@ -11,13 +11,13 @@ DETERMINISTIC_DIRS = ("src/sim/", "src/mp/", "src/plan/")
 
 # Zero-cost feature flags that must be proven default-off somewhere in the
 # scanned tree (they live in bench/util.h; .faults uses .any()).
-REQUIRED_FLAG_ASSERTS = ("trace", "record_schedule", "link_stats", "faults",
-                         "sim_threads")
+REQUIRED_FLAG_ASSERTS = ("trace", "record_schedule", "link_stats", "faults")
 
-# Directories whose hot paths may run on several drain workers at once
-# (the sharded engine, see sim/sharded.h): mutable static or
-# namespace-scope state there is a data race and a determinism leak.
-SHARD_SAFE_DIRS = ("src/sim/", "src/net/", "src/mp/")
+# Directories whose hot paths run inside every simulation, and whole
+# simulations run concurrently on sweep (SweepRunner) and serve worker
+# threads: mutable static or namespace-scope state there is shared by
+# those runs, a data race and a determinism leak.
+THREAD_SAFE_DIRS = ("src/sim/", "src/net/", "src/mp/")
 
 UNORDERED_DECL = re.compile(r"\bunordered_(?:map|set|multimap|multiset)\s*<")
 RANGE_FOR = re.compile(r"\bfor\s*\(\s*[^;()]*?:\s*(?:\w+\s*\.\s*)?(\w+)\s*\)")
@@ -192,18 +192,19 @@ def _suppressed_for(raw: str, text: str, idx: int, category: str) -> bool:
 
 
 def check_mutable_static_state(path: Path, raw: str, text: str) -> list[str]:
-    """U5: mutable static / namespace-scope state in shard-visible code.
+    """U5: mutable static / namespace-scope state in simulator code.
 
-    The sharded engine (sim/sharded.h) drains src/sim, src/mp and src/net
-    hot paths on several worker threads inside a window.  Any static or
-    namespace-scope variable they touch is therefore shared mutable state:
-    a data race and — because update order would depend on thread timing —
-    a determinism leak.  Such state must be immutable (const/constexpr),
-    std::atomic, per-shard (owned by a shard-indexed structure), or carry
-    an explicit NOLINT(spb-mutable-global): <rationale> annotation.
+    Every simulation runs the src/sim, src/mp and src/net hot paths, and
+    whole simulations run concurrently on SweepRunner and serve worker
+    threads.  Any static or namespace-scope variable those paths touch is
+    therefore shared mutable state across runs: a data race and — because
+    update order would depend on thread timing — a determinism leak.  Such
+    state must be immutable (const/constexpr), std::atomic, owned by the
+    run (a Runtime or Simulator member), or carry an explicit
+    NOLINT(spb-mutable-global): <rationale> annotation.
     """
     posix = path.as_posix()
-    if not any(d in posix for d in SHARD_SAFE_DIRS):
+    if not any(d in posix for d in THREAD_SAFE_DIRS):
         return []
     findings = []
     for m in STATIC_STATE.finditer(text):
@@ -218,10 +219,10 @@ def check_mutable_static_state(path: Path, raw: str, text: str) -> list[str]:
             continue
         findings.append(
             f"{path}:{line_of(text, m.start())}: [mutable-global-state] "
-            f"mutable static/namespace-scope state reachable from the "
-            f"sharded engine's concurrent drains — make it const, "
-            f"std::atomic, per-shard, or annotate the line with "
-            f"NOLINT(spb-mutable-global): <why it is race-free>")
+            f"mutable static/namespace-scope state shared by simulations "
+            f"that run concurrently on sweep and serve threads — make it "
+            f"const, std::atomic, a member of the run, or annotate the "
+            f"line with NOLINT(spb-mutable-global): <why it is race-free>")
     return findings
 
 

@@ -1,11 +1,11 @@
 // spb_report — one run, one JSON report.
 //
-// Runs any algorithm x distribution x machine combination with tracing and
-// link accounting on, and emits a single machine-readable run report:
+// Runs any algorithm x distribution x machine combination with link
+// accounting on, and emits a single machine-readable run report:
 // timing, the paper's Figure-2 metrics, fault counters, the per-phase
 // breakdown and a link-utilization histogram.  Optionally also exports the
-// full Chrome-trace timeline (load it at https://ui.perfetto.dev) and an
-// ASCII link heatmap.
+// full Chrome-trace timeline (load it at https://ui.perfetto.dev; only then
+// is the run traced) and an ASCII link heatmap.
 //
 //   spb_report --machine paragon8x8 --dist R --sources 8 --len 1024 \
 //              --algo two_step --chrome-trace t.json
@@ -46,7 +46,6 @@ struct Options {
   std::string out;           // report path ("" = stdout)
   std::string chrome_trace;  // "" = no export
   bool heatmap = false;
-  int sim_threads = 0;  // 0 = serial; >= 1 = sharded; -1 = sharded auto
 };
 
 [[noreturn]] void usage(const char* argv0) {
@@ -63,12 +62,6 @@ struct Options {
       << "  --seed N         seed for the Rand distribution (default 1)\n"
       << "  --faults [SEED:]SPEC   deterministic fault injection\n"
       << "                   (e.g. 42:drop=0.1,straggle=1x3)\n"
-      << "  --sim-threads N  drain workers for the sharded simulation\n"
-      << "                   engine (default 0 = serial loop; any N >= 1\n"
-      << "                   yields byte-identical reports; -1 auto-sizes\n"
-      << "                   the pool to the host's cores; disables\n"
-      << "                   tracing, so not combinable with\n"
-      << "                   --chrome-trace)\n"
       << "  --out FILE       write the JSON report here (default stdout)\n"
       << "  --chrome-trace FILE    also export the Perfetto/Chrome trace\n"
       << "  --heatmap        print an ASCII link heatmap to stderr\n"
@@ -107,14 +100,6 @@ Options parse(int argc, char** argv) {
         text = text.substr(colon + 1);
       }
       o.faults = fault::FaultSpec::parse(text);
-    } else if (a == "--sim-threads") {
-      const std::string v = next(i);
-      if (v == "-1") {
-        o.sim_threads = -1;  // auto: parse_u64 rejects the sign
-      } else {
-        o.sim_threads =
-            static_cast<int>(parse_u64_or_throw("--sim-threads", v));
-      }
     } else if (a == "--out") {
       o.out = next(i);
     } else if (a == "--chrome-trace") {
@@ -152,19 +137,10 @@ int run_cli(int argc, char** argv) {
   const stop::Problem problem =
       stop::make_problem(machine, kind, s, opt.len, opt.seed);
 
-  // The sharded engine needs no global event order, but tracing does — so
-  // a parallel report runs without the trace (link accounting is fine:
-  // reserves happen at the single-threaded window barrier only).
-  SPB_REQUIRE(opt.sim_threads == 0 || opt.chrome_trace.empty(),
-              "--chrome-trace needs the serial loop's tracing; drop "
-              "--sim-threads or the trace export");
+  // The report itself never reads the trace; record one only for export.
   stop::RunConfig cfg;
   cfg.link_stats().faults(opt.faults, opt.fault_seed);
-  if (opt.sim_threads != 0) {
-    cfg.sim_threads(opt.sim_threads);
-  } else {
-    cfg.trace();
-  }
+  if (!opt.chrome_trace.empty()) cfg.trace();
   const stop::RunResult result = stop::run(*algorithm, problem, cfg);
 
   obs::ReportContext ctx;
